@@ -29,6 +29,7 @@ from .eval import (
     eval_datasets,
     evaluate,
     write_per_class_csv,
+    write_report,
 )
 from .loss import AggregationStrategy
 from .train import (
@@ -51,7 +52,7 @@ REFERENCE_LAMBDA_ZERO = 23.76
 
 @dataclass(frozen=True)
 class AblationGrid:
-    base: TrainConfig
+    base: TrainConfig = TrainConfig()
     aggregations: tuple = AGGREGATION_VARIANTS
     mixtures: tuple = MIXTURE_VARIANTS
     repeats: int = 1
@@ -75,13 +76,13 @@ class AblationGrid:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    base: TrainConfig
-    lambda_values: tuple
+    base: TrainConfig = TrainConfig()
+    lambda_values: tuple = ()
     repeats: int = 1
 
     def __post_init__(self):
         if not self.lambda_values:
-            raise ConfigError("sweep needs at least one lambda value")
+            raise ConfigError("sweep spec: lambda_values needs at least one value")
         for v in self.lambda_values:
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"sweep lambda {v} outside [0, 1]")
@@ -103,35 +104,12 @@ def _load_json(path, what):
             raise ConfigError(f"{what} file {path} is not valid JSON: {e}") from None
 
 
-def _reject_unknown(payload, known, context):
-    if not isinstance(payload, dict):
-        raise ConfigError(f"{context}: expected a JSON object")
-    unknown = set(payload) - set(known)
-    if unknown:
-        raise ConfigError(f"{context}: unknown field(s) {sorted(unknown)}")
-
-
 def ablation_grid_from_dict(payload) -> AblationGrid:
-    _reject_unknown(payload, ("base", "aggregations", "mixtures", "repeats"), "ablation grid")
-    kwargs = {"base": config_from_dict(payload.get("base", {}))}
-    if "aggregations" in payload:
-        kwargs["aggregations"] = tuple(payload["aggregations"])
-    if "mixtures" in payload:
-        kwargs["mixtures"] = tuple(payload["mixtures"])
-    if "repeats" in payload:
-        kwargs["repeats"] = payload["repeats"]
-    return AblationGrid(**kwargs)
+    return config_from_dict(payload, AblationGrid, "ablation grid")
 
 
 def sweep_spec_from_dict(payload) -> SweepSpec:
-    _reject_unknown(payload, ("base", "lambda_values", "repeats"), "sweep spec")
-    if "lambda_values" not in payload:
-        raise ConfigError("sweep spec: missing lambda_values")
-    return SweepSpec(
-        base=config_from_dict(payload.get("base", {})),
-        lambda_values=tuple(payload["lambda_values"]),
-        repeats=payload.get("repeats", 1),
-    )
+    return config_from_dict(payload, SweepSpec, "sweep spec")
 
 
 def derive_seed(base_seed: int, cell_id: str, repeat: int) -> int:
@@ -160,12 +138,6 @@ def cell_config(base: TrainConfig, aggregation: str, mixture: str, seed: int) ->
 
 
 # -- artifact writers --------------------------------------------------------
-
-
-def _write_json(payload: dict, path):
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
 
 
 def write_ppm(pixels: np.ndarray, path, comment: str = ""):
@@ -249,6 +221,44 @@ def _stats(values):
     return float(arr.mean()), float(arr.std())
 
 
+@dataclass(frozen=True)
+class CellSummary:
+    """One grid cell over its repeats: how many succeeded and the (mean,
+    std) of each probe's top-1, None when every repeat failed."""
+
+    ok: int
+    knn: tuple | None = None
+    linear: tuple | None = None
+    status: str = "failed"
+
+    @classmethod
+    def of(cls, knn, linear, repeats):
+        if not knn:
+            return cls(0)
+        status = "ok" if len(knn) == repeats else f"partial({len(knn)}/{repeats})"
+        return cls(len(knn), _stats(knn), _stats(linear), status)
+
+    def csv_fields(self) -> str:
+        """The CSV columns from repeats_ok on (see SUMMARY_COLUMNS)."""
+        if not self.ok:
+            return "0,,,,,failed"
+        return ",".join([str(self.ok), *map(repr, self.knn + self.linear), self.status])
+
+
+SUMMARY_COLUMNS = "repeats_ok,knn_mean,knn_std,linear_mean,linear_std,status"
+
+
+def write_summary_csv(path, comments, key_columns, rows):
+    """Per-cell summary CSV: `# ` comment lines, a header, then one row of
+    key fields plus CellSummary.csv_fields per (key, summary) pair."""
+    with open(path, "w") as f:
+        for line in comments:
+            f.write(f"# {line}\n")
+        f.write(f"{key_columns},{SUMMARY_COLUMNS}\n")
+        for key, summary in rows:
+            f.write(f"{key},{summary.csv_fields()}\n")
+
+
 # -- subcommands -------------------------------------------------------------
 
 
@@ -263,19 +273,21 @@ def _load_train_config(args) -> TrainConfig:
     cfg = config_from_dict(_load_json(args.config, "config"))
     if args.seed is not None:
         cfg = _with_seed(cfg, args.seed)
-    if args.strict_deterministic:
-        cfg = dataclasses.replace(cfg, strict_deterministic=True)
     return cfg
+
+
+def _write_report_files(report, cfg, out_dir, **extra):
+    """report.json (stamped with the config hash) and per_class.csv."""
+    write_report(report, os.path.join(out_dir, "report.json"),
+                 config_hash=config_hash(cfg), **extra)
+    write_per_class_csv(report, os.path.join(out_dir, "per_class.csv"))
 
 
 def _train_and_evaluate(cfg, out_dir, resume=None):
     train_ds, test_ds = eval_datasets(cfg.dataset)
     state = run(cfg, train_ds, out_dir, resume=resume)
     report = evaluate(state.params, cfg, train_ds, test_ds, ProbeConfig())
-    payload = report.to_json()
-    payload["config_hash"] = config_hash(cfg)
-    _write_json(payload, os.path.join(out_dir, "report.json"))
-    write_per_class_csv(report, os.path.join(out_dir, "per_class.csv"))
+    _write_report_files(report, cfg, out_dir)
     return report
 
 
@@ -300,11 +312,7 @@ def cmd_eval(args) -> int:
     state, cfg = load_checkpoint(args.resume)
     train_ds, test_ds = eval_datasets(cfg.dataset)
     report = evaluate(state.params, cfg, train_ds, test_ds, ProbeConfig())
-    payload = report.to_json()
-    payload["config_hash"] = config_hash(cfg)
-    payload["checkpoint"] = os.path.abspath(args.resume)
-    _write_json(payload, os.path.join(out, "report.json"))
-    write_per_class_csv(report, os.path.join(out, "per_class.csv"))
+    _write_report_files(report, cfg, out, checkpoint=os.path.abspath(args.resume))
     print(f"eval done: knn_top1={report.knn_top1:.4f} "
           f"linear_top1={report.linear_top1:.4f} -> {out}")
     return 0
@@ -312,12 +320,10 @@ def cmd_eval(args) -> int:
 
 def _run_cells(base, cells, out_dir, repeats):
     """Train/evaluate every (cell_id, config-builder) pair; never let one
-    failed cell abort the rest. Returns {cell_id: {"knn": [...], "linear":
-    [...], "errors": [...]}}."""
-    results = {}
+    failed cell abort the rest. Returns one CellSummary per cell, in order."""
+    results = []
     for cell_id, make_cfg in cells:
-        entry = {"knn": [], "linear": [], "errors": []}
-        results[cell_id] = entry
+        knn, linear = [], []
         for rep in range(repeats):
             seed = derive_seed(base.seed, cell_id, rep)
             cfg = make_cfg(seed)
@@ -326,11 +332,11 @@ def _run_cells(base, cells, out_dir, repeats):
             try:
                 report = _train_and_evaluate(cfg, cell_dir)
             except Exception as e:  # noqa: BLE001 - cell isolation is the point
-                entry["errors"].append(f"rep{rep}: {e}")
                 print(f"cell {cell_id} rep {rep} failed: {e}", file=sys.stderr)
                 continue
-            entry["knn"].append(report.knn_top1)
-            entry["linear"].append(report.linear_top1)
+            knn.append(report.knn_top1)
+            linear.append(report.linear_top1)
+        results.append(CellSummary.of(knn, linear, repeats))
     return results
 
 
@@ -342,106 +348,66 @@ def _validate_runnable(cfg: TrainConfig):
             f"batch_size {cfg.batch_size} exceeds dataset size {len(train_ds)}")
 
 
-def cmd_ablate(args) -> int:
-    grid = ablation_grid_from_dict(_load_json(args.config, "ablation grid")
-                                   if args.config else {})
-    base = grid.base
+def _grid_setup(base: TrainConfig, args):
+    """(seeded base, output dir, base config hash) for ablate/sweep-lambda."""
     if args.seed is not None:
         base = _with_seed(base, args.seed)
     _validate_runnable(base)
-    out = _prepare_out(args.out)
-    digest = config_hash(base)
+    return base, _prepare_out(args.out), config_hash(base)
 
-    cells = []
-    for agg in grid.aggregations:
-        for mixture in grid.mixtures:
-            cell_id = f"{agg}-{mixture}"
-            cells.append((cell_id, lambda s, a=agg, m=mixture:
-                          cell_config(base, a, m, s)))
-    results = _run_cells(base, cells, out, grid.repeats)
 
-    csv_path = os.path.join(out, "ablation.csv")
-    with open(csv_path, "w") as f:
-        f.write(f"# config_hash={digest}\n")
-        ref = " ".join(f"{k}={v}" for k, v in REFERENCE_TABLE.items())
-        f.write(f"# reference top-1 % from the original CIFAR-10 experiments:"
-                f" {ref} (metadata only, not asserted)\n")
-        f.write("aggregation,mixture,repeats_ok,knn_mean,knn_std,"
-                "linear_mean,linear_std,status\n")
-        for agg in grid.aggregations:
-            for mixture in grid.mixtures:
-                entry = results[f"{agg}-{mixture}"]
-                ok = len(entry["knn"])
-                if ok:
-                    km, ks = _stats(entry["knn"])
-                    lm, ls = _stats(entry["linear"])
-                    status = "ok" if not entry["errors"] else f"partial({ok}/{grid.repeats})"
-                    f.write(f"{agg},{mixture},{ok},{km!r},{ks!r},{lm!r},{ls!r},{status}\n")
-                else:
-                    f.write(f"{agg},{mixture},0,,,,,failed\n")
+def cmd_ablate(args) -> int:
+    grid = ablation_grid_from_dict(_load_json(args.config, "ablation grid")
+                                   if args.config else {})
+    base, out, digest = _grid_setup(grid.base, args)
+    keys = [(agg, mixture) for agg in grid.aggregations for mixture in grid.mixtures]
+    summaries = _run_cells(base, [(f"{a}-{m}", lambda s, a=a, m=m: cell_config(base, a, m, s))
+                                  for a, m in keys], out, grid.repeats)
 
-    table_path = os.path.join(out, "ablation.txt")
+    ref = " ".join(f"{k}={v}" for k, v in REFERENCE_TABLE.items())
+    write_summary_csv(
+        os.path.join(out, "ablation.csv"),
+        [f"config_hash={digest}",
+         f"reference top-1 % from the original CIFAR-10 experiments: {ref}"
+         " (metadata only, not asserted)"],
+        "aggregation,mixture",
+        [(f"{a},{m}", summary) for (a, m), summary in zip(keys, summaries)])
+
     lines = [f"ablation over aggregation x mixture (knn top-1, {grid.repeats} repeat(s))",
              f"config_hash={digest}", ""]
     header = f"{'aggregation':<12} {'mixture':<12} {'knn top-1':<20} {'linear top-1':<20}"
     lines += [header, "-" * len(header)]
-    for agg in grid.aggregations:
-        for mixture in grid.mixtures:
-            entry = results[f"{agg}-{mixture}"]
-            if entry["knn"]:
-                km, ks = _stats(entry["knn"])
-                lm, ls = _stats(entry["linear"])
-                knn_txt = f"{km:.4f} +/- {ks:.4f}"
-                lin_txt = f"{lm:.4f} +/- {ls:.4f}"
-            else:
-                knn_txt = lin_txt = "failed"
-            lines.append(f"{agg:<12} {mixture:<12} {knn_txt:<20} {lin_txt:<20}")
+    for (agg, mixture), summary in zip(keys, summaries):
+        knn_txt, lin_txt = (("{:.4f} +/- {:.4f}".format(*summary.knn),
+                             "{:.4f} +/- {:.4f}".format(*summary.linear))
+                            if summary.ok else ("failed", "failed"))
+        lines.append(f"{agg:<12} {mixture:<12} {knn_txt:<20} {lin_txt:<20}")
     lines += ["", "reference top-1 % from the original CIFAR-10 experiments "
-              "(metadata only): " + " ".join(f"{k}={v}" for k, v in REFERENCE_TABLE.items())]
-    with open(table_path, "w") as f:
+              "(metadata only): " + ref]
+    with open(os.path.join(out, "ablation.txt"), "w") as f:
         f.write("\n".join(lines) + "\n")
     print("\n".join(lines))
-
-    any_ok = any(results[c]["knn"] for c, _ in cells)
-    return 0 if any_ok else 1
+    return 0 if any(summary.ok for summary in summaries) else 1
 
 
 def cmd_sweep_lambda(args) -> int:
     spec = sweep_spec_from_dict(_load_json(args.config, "sweep spec")
                                 if args.config else {"lambda_values": [0.0, 0.5, 1.0]})
-    base = spec.base
-    if args.seed is not None:
-        base = _with_seed(base, args.seed)
-    _validate_runnable(base)
-    out = _prepare_out(args.out)
-    digest = config_hash(base)
+    base, out, digest = _grid_setup(spec.base, args)
+    summaries = _run_cells(
+        base, [(f"lambda-{lam:g}", lambda s, l=lam:
+                _with_seed(dataclasses.replace(base, lam=l), s))
+               for lam in spec.lambda_values], out, spec.repeats)
 
-    cells = []
-    for lam in spec.lambda_values:
-        cell_id = f"lambda-{lam:g}"
-        cells.append((cell_id, lambda s, l=lam:
-                      _with_seed(dataclasses.replace(base, lam=l), s)))
-    results = _run_cells(base, cells, out, spec.repeats)
-
-    csv_path = os.path.join(out, "sweep.csv")
-    points = []
-    with open(csv_path, "w") as f:
-        f.write(f"# config_hash={digest}\n")
-        f.write(f"# reference: lambda=0 reached {REFERENCE_LAMBDA_ZERO}% top-1 in the"
-                f" original CIFAR-10 experiments (metadata only, not asserted)\n")
-        f.write("lambda,repeats_ok,knn_mean,knn_std,linear_mean,linear_std,status\n")
-        for lam in spec.lambda_values:
-            entry = results[f"lambda-{lam:g}"]
-            ok = len(entry["knn"])
-            if ok:
-                km, ks = _stats(entry["knn"])
-                lm, ls = _stats(entry["linear"])
-                status = "ok" if not entry["errors"] else f"partial({ok}/{spec.repeats})"
-                f.write(f"{lam!r},{ok},{km!r},{ks!r},{lm!r},{ls!r},{status}\n")
-                points.append((lam, km, lm))
-            else:
-                f.write(f"{lam!r},0,,,,,failed\n")
-
+    write_summary_csv(
+        os.path.join(out, "sweep.csv"),
+        [f"config_hash={digest}",
+         f"reference: lambda=0 reached {REFERENCE_LAMBDA_ZERO}% top-1 in the"
+         " original CIFAR-10 experiments (metadata only, not asserted)"],
+        "lambda",
+        [(repr(lam), summary) for lam, summary in zip(spec.lambda_values, summaries)])
+    points = [(lam, summary.knn[0], summary.linear[0])
+              for lam, summary in zip(spec.lambda_values, summaries) if summary.ok]
     if points:
         # plot the linear-probe accuracy: it separates the blend settings
         # long before the k-NN numbers move off their ceiling
@@ -481,8 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None,
                         help="override the config seed (training and augmentation)")
     common.add_argument("--resume", default=None, help="checkpoint to resume from")
-    common.add_argument("--strict-deterministic", action="store_true",
-                        help="force strict determinism regardless of the config")
 
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("train", parents=[common],

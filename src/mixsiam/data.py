@@ -8,7 +8,7 @@ to exactly b/255.0, and the writer inverts that losslessly.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

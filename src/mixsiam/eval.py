@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -273,9 +272,10 @@ def random_baseline_report(cfg: TrainConfig, train_ds: Dataset, test_ds: Dataset
     return evaluate(params, cfg, train_ds, test_ds, probe)
 
 
-def write_report(report: EvalReport, path):
+def write_report(report: EvalReport, path, **extra):
+    """report.json: the report plus any `extra` top-level keys, sorted."""
     with open(path, "w") as f:
-        json.dump(report.to_json(), f, indent=2, sort_keys=True)
+        json.dump({**report.to_json(), **extra}, f, indent=2, sort_keys=True)
         f.write("\n")
 
 

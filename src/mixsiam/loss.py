@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ShapeError

@@ -9,7 +9,7 @@ them (documented behavior for weight-shared siamese training).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -10,20 +10,21 @@ step sequence of an uninterrupted one.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .augment import AugmentConfig, LambdaMixPolicy, make_triplet
-from .data import Dataset, SyntheticConfig, batches, load_cifar10, make_synthetic, stack_pixels
+from .data import Dataset, SyntheticConfig, batches, load_cifar10, make_synthetic
 from .errors import ConfigError, ParseError, TrainingAborted
 from .loss import AggregationStrategy, aggregate, mix_loss, neg_cosine, siam_loss, total_loss
-from .model import ConvStage, EncoderSpec, ModelParams, PredictorSpec, encode, init, predict
+from .model import EncoderSpec, ModelParams, PredictorSpec, encode, init, predict
 
 CHECKPOINT_MAGIC = b"MXSM"
 CHECKPOINT_VERSION = 1
@@ -44,7 +45,6 @@ class DatasetConfig:
     size: int = 32
     seed: int = 0
     dir: str = ""
-    split: str = "train"
 
     def __post_init__(self):
         if self.kind not in ("synthetic", "cifar10"):
@@ -57,7 +57,7 @@ class DatasetConfig:
                 size=self.size, seed=self.seed))
         if not self.dir:
             raise ConfigError("dataset kind cifar10 requires a data dir")
-        return load_cifar10(self.dir, split=self.split)
+        return load_cifar10(self.dir, split="train")
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,6 @@ class TrainConfig:
     epochs: int = 20
     seed: int = 0
     precision: int = 32
-    strict_deterministic: bool = True
     stop_gradient: bool = True             # False is the collapse ablation
 
     def __post_init__(self):
@@ -107,87 +106,49 @@ class TrainConfig:
 # -- config (de)serialization -------------------------------------------
 
 
-def config_to_dict(cfg: TrainConfig) -> dict:
-    return {
-        "dataset": vars(cfg.dataset).copy(),
-        "encoder": {
-            "stages": [vars(s).copy() for s in cfg.encoder.stages],
-            "projector": list(cfg.encoder.projector),
-            "embed_dim": cfg.encoder.embed_dim,
-            "in_channels": cfg.encoder.in_channels,
-        },
-        "predictor": vars(cfg.predictor).copy(),
-        "augment": {k: list(v) if isinstance(v, tuple) else v
-                    for k, v in vars(cfg.augment).items()},
-        "lambda": cfg.lam,
-        "lambda_mix": vars(cfg.lambda_mix).copy(),
-        "aggregation": vars(cfg.aggregation).copy(),
-        "lr_base": cfg.lr_base,
-        "momentum": cfg.momentum,
-        "weight_decay": cfg.weight_decay,
-        "batch_size": cfg.batch_size,
-        "epochs": cfg.epochs,
-        "seed": cfg.seed,
-        "precision": cfg.precision,
-        "strict_deterministic": cfg.strict_deterministic,
-        "stop_gradient": cfg.stop_gradient,
-    }
+RENAMED = {"lam": "lambda"}  # field name -> JSON key
 
 
-def _build(cls, payload, context, tuples=()):
+def config_to_dict(cfg):
+    """Plain JSON document of a config dataclass, recursively: tuples
+    become lists and the fields in RENAMED take their JSON key."""
+    if dataclasses.is_dataclass(cfg):
+        return {RENAMED.get(f.name, f.name): config_to_dict(getattr(cfg, f.name))
+                for f in dataclasses.fields(cfg)}
+    if isinstance(cfg, tuple):
+        return [config_to_dict(v) for v in cfg]
+    return cfg
+
+
+def config_from_dict(payload, cls=TrainConfig, context="config"):
+    """Inverse of config_to_dict for the config dataclass `cls`.
+
+    A nested value takes its type from the field's default: a dataclass,
+    or a tuple of dataclasses (EncoderSpec.stages). Where the default is a
+    tuple the value must be a list, which becomes a tuple. Unknown keys
+    raise ConfigError.
+    """
     if not isinstance(payload, dict):
         raise ConfigError(f"{context}: expected an object, got {type(payload).__name__}")
-    import dataclasses
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(payload) - known
+    fields = {RENAMED.get(f.name, f.name): f for f in dataclasses.fields(cls)}
+    unknown = set(payload) - set(fields)
     if unknown:
         raise ConfigError(f"{context}: unknown field(s) {sorted(unknown)}")
-    kwargs = {k: tuple(v) if k in tuples and isinstance(v, list) else v
-              for k, v in payload.items()}
-    return cls(**kwargs)
-
-
-def config_from_dict(payload: dict) -> TrainConfig:
-    if not isinstance(payload, dict):
-        raise ConfigError(f"config: expected a JSON object, got {type(payload).__name__}")
-    payload = dict(payload)
-    known = {"dataset", "encoder", "predictor", "augment", "lambda", "lambda_mix",
-             "aggregation", "lr_base", "momentum", "weight_decay", "batch_size",
-             "epochs", "seed", "precision", "strict_deterministic", "stop_gradient"}
-    unknown = set(payload) - known
-    if unknown:
-        raise ConfigError(f"config: unknown field(s) {sorted(unknown)}")
     kwargs = {}
-    if "dataset" in payload:
-        kwargs["dataset"] = _build(DatasetConfig, payload["dataset"], "dataset")
-    if "encoder" in payload:
-        enc = dict(payload["encoder"])
-        if "stages" in enc:
-            enc["stages"] = tuple(_build(ConvStage, s, "encoder.stages") for s in enc["stages"])
-        if "projector" in enc:
-            enc["projector"] = tuple(enc["projector"])
-        kwargs["encoder"] = _build(EncoderSpec, enc, "encoder")
-    if "predictor" in payload:
-        kwargs["predictor"] = _build(PredictorSpec, payload["predictor"], "predictor")
-    if "augment" in payload:
-        kwargs["augment"] = _build(
-            AugmentConfig, payload["augment"], "augment",
-            tuples=("crop_scale_range", "jitter_strengths", "blur_sigma_range",
-                    "aspect_ratio_range"))
-    if "lambda" in payload:
-        kwargs["lam"] = payload["lambda"]
-    if "lambda_mix" in payload:
-        kwargs["lambda_mix"] = _build(LambdaMixPolicy, payload["lambda_mix"], "lambda_mix")
-    if "aggregation" in payload:
-        kwargs["aggregation"] = _build(AggregationStrategy, payload["aggregation"], "aggregation")
-    for key in ("lr_base", "momentum", "weight_decay", "batch_size", "epochs",
-                "seed", "precision", "strict_deterministic", "stop_gradient"):
-        if key in payload:
-            kwargs[key] = payload[key]
+    for key, value in payload.items():
+        default, where = fields[key].default, f"{context}.{key}"
+        if dataclasses.is_dataclass(default):
+            value = config_from_dict(value, type(default), where)
+        elif isinstance(default, tuple):
+            if not isinstance(value, list):
+                raise ConfigError(f"{where}: expected a list, got {type(value).__name__}")
+            item = type(default[0]) if default and dataclasses.is_dataclass(default[0]) else None
+            value = tuple(config_from_dict(v, item, where) if item else v for v in value)
+        kwargs[fields[key].name] = value
     try:
-        return TrainConfig(**kwargs)
+        return cls(**kwargs)
     except TypeError as e:
-        raise ConfigError(f"config: {e}") from None
+        raise ConfigError(f"{context}: {e}") from None
 
 
 def config_hash(cfg: TrainConfig) -> str:
@@ -389,15 +350,28 @@ def save_checkpoint(state: TrainState, cfg: TrainConfig, path):
     os.replace(tmp, path)
 
 
+def _read_exact(f, n, path, what):
+    offset = f.tell()
+    left = os.fstat(f.fileno()).st_size - offset
+    if n > left:
+        raise ParseError(f"{path}: truncated checkpoint, {what} needs {n} bytes"
+                         f" at byte offset {offset} but {left} remain")
+    return f.read(n)
+
+
 def _read_header(f, path):
-    magic = f.read(4)
+    magic = _read_exact(f, 4, path, "magic")
     if magic != CHECKPOINT_MAGIC:
         raise ParseError(f"{path}: bad checkpoint magic {magic!r} at byte offset 0")
-    (version,) = struct.unpack("<I", f.read(4))
+    (version,) = struct.unpack("<I", _read_exact(f, 4, path, "version"))
     if version != CHECKPOINT_VERSION:
         raise ParseError(f"{path}: unsupported checkpoint version {version}")
-    (hlen,) = struct.unpack("<Q", f.read(8))
-    return json.loads(f.read(hlen).decode())
+    (hlen,) = struct.unpack("<Q", _read_exact(f, 8, path, "header length"))
+    try:
+        return json.loads(_read_exact(f, hlen, path, "header").decode())
+    except ValueError as e:  # bad UTF-8 or bad JSON
+        raise ParseError(f"{path}: checkpoint header at byte offset 16 is not"
+                         f" valid JSON: {e}") from None
 
 
 def read_checkpoint_header(path) -> dict:
@@ -447,6 +421,19 @@ def checkpoint_path(out_dir, epoch):
     return os.path.join(out_dir, f"ckpt_epoch_{epoch}.bin")
 
 
+def _drop_rows_from(mpath, step):
+    """Keep the two header lines and the complete rows before `step`: a run
+    resumed in place must not repeat the rows its first attempt wrote past
+    the checkpoint, nor keep a row that a crash cut short."""
+    with open(mpath) as f:
+        lines = f.readlines()
+    kept = lines[:2] + [line for line in lines[2:] if line.endswith("\n")
+                        and (first := line.split(",", 1)[0]).isdigit()
+                        and int(first) < step]
+    with open(mpath, "w") as f:
+        f.writelines(kept)
+
+
 def run(cfg: TrainConfig, dataset: Dataset, out_dir, resume=None,
         allow_config_mismatch=False, on_metrics=None):
     """Train for cfg.epochs over `dataset`, writing per-epoch checkpoints
@@ -455,7 +442,8 @@ def run(cfg: TrainConfig, dataset: Dataset, out_dir, resume=None,
     `resume` names a checkpoint written by a run with the same config
     hash (override with allow_config_mismatch). Resumption happens at an
     epoch boundary and replays the remaining epochs exactly as the
-    uninterrupted run would have.
+    uninterrupted run would have. Resuming into the directory of the
+    original run first drops its metrics rows from the checkpoint's step on.
     """
     os.makedirs(out_dir, exist_ok=True)
     if not os.access(out_dir, os.W_OK):
@@ -474,6 +462,8 @@ def run(cfg: TrainConfig, dataset: Dataset, out_dir, resume=None,
                 f"resume config hash {config_hash(ckpt_cfg)} does not match"
                 f" current {config_hash(cfg)} (pass the override to force)")
         mode = "a" if os.path.exists(mpath) else "w"
+        if mode == "a":
+            _drop_rows_from(mpath, state.step)
     else:
         state = TrainState.fresh(cfg)
         mode = "w"
@@ -490,6 +480,7 @@ def run(cfg: TrainConfig, dataset: Dataset, out_dir, resume=None,
                 if on_metrics is not None:
                     on_metrics(metrics)
             state.epoch = epoch + 1
+            mfile.flush()  # an epoch's rows reach the file before its checkpoint
             save_checkpoint(state, cfg, checkpoint_path(out_dir, epoch + 1))
     save_checkpoint(state, cfg, os.path.join(out_dir, "ckpt_final.bin"))
     return state

@@ -4,11 +4,17 @@ The central-difference checker here is the ground truth that every
 backward pass in the package is judged against: float64 throughout,
 step 1e-5, relative error below 1e-4 (absolute 1e-7 when the reference
 gradient is ~0).
+
+`tiny_config` is the small float64 training config shared by the trainer,
+probe and CLI tests.
 """
 
 import numpy as np
 
+from mixsiam.augment import AugmentConfig
 from mixsiam.autodiff import tensor
+from mixsiam.model import EncoderSpec, PredictorSpec
+from mixsiam.train import DatasetConfig, TrainConfig
 
 FD_STEP = 1e-5
 REL_TOL = 1e-4
@@ -84,3 +90,18 @@ def check_grads(f, arrays, step=FD_STEP):
         assert t.grad is not None, f"input {i} received no gradient"
         worst = max(worst, grad_gap(t.grad, num))
     return worst
+
+
+def tiny_config(**overrides):
+    base = dict(
+        dataset=DatasetConfig(classes=2, per_class=6, size=8, seed=5),
+        encoder=EncoderSpec.tiny(),
+        predictor=PredictorSpec.tiny(),
+        augment=AugmentConfig(output_size=8, seed=11),
+        batch_size=4,
+        epochs=2,
+        seed=11,
+        precision=64,
+    )
+    base.update(overrides)
+    return TrainConfig(**base)

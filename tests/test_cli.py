@@ -3,13 +3,16 @@ exit-code contracts, artifact formats (CSV, JSON, SVG, PPM), and the
 seed-override and cell-isolation behaviors."""
 
 import dataclasses
+import functools
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
 import mixsiam.cli as cli
-from mixsiam.augment import AugmentConfig, identity_config, make_triplet
+from conftest import tiny_config as shared_tiny_config
+from mixsiam.augment import identity_config, make_triplet
 from mixsiam.cli import (
     AblationGrid,
     SweepSpec,
@@ -22,28 +25,10 @@ from mixsiam.cli import (
     write_ppm,
 )
 from mixsiam.errors import ConfigError, TrainingAborted
-from mixsiam.model import EncoderSpec, PredictorSpec
-from mixsiam.train import (
-    DatasetConfig,
-    TrainConfig,
-    config_hash,
-    config_to_dict,
-)
+from mixsiam.train import config_from_dict, config_hash, config_to_dict
 
-
-def tiny_config(**overrides):
-    base = dict(
-        dataset=DatasetConfig(classes=2, per_class=6, size=8, seed=5),
-        encoder=EncoderSpec.tiny(),
-        predictor=PredictorSpec.tiny(),
-        augment=AugmentConfig(output_size=8, seed=11),
-        batch_size=4,
-        epochs=1,
-        seed=11,
-        precision=64,
-    )
-    base.update(overrides)
-    return TrainConfig(**base)
+tiny_config = functools.partial(shared_tiny_config, epochs=1)
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -132,20 +117,9 @@ def test_same_seed_flag_twice_gives_identical_metrics(tmp_path):
     cpath = write_config(tmp_path, tiny_config())
     for d in ("a", "b"):
         assert main(["train", "--config", cpath, "--out", str(tmp_path / d),
-                     "--seed", "7", "--strict-deterministic"]) == 0
+                     "--seed", "7"]) == 0
     assert (tmp_path / "a" / "metrics.csv").read_bytes() == \
         (tmp_path / "b" / "metrics.csv").read_bytes()
-
-
-def test_strict_deterministic_flag_joins_the_hash(tmp_path):
-    cfg = tiny_config(strict_deterministic=False)
-    cpath = write_config(tmp_path, cfg)
-    out = tmp_path / "out"
-    assert main(["train", "--config", cpath, "--out", str(out),
-                 "--strict-deterministic"]) == 0
-    forced = dataclasses.replace(cfg, strict_deterministic=True)
-    first = (out / "metrics.csv").read_text().splitlines()[0]
-    assert first == f"# config_hash={config_hash(forced)}"
 
 
 def test_eval_command_reproduces_train_report(tmp_path):
@@ -190,6 +164,36 @@ def test_usage_errors_exit_2(tmp_path):
     assert main([]) == 2
     assert main(["no-such-command"]) == 2
     assert main(["train"]) == 2  # --out is required
+
+
+# -- shipped configs -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, load", [
+    ("synthetic_small.json", config_from_dict),
+    ("cifar10.json", config_from_dict),
+    ("ablation_grid.json", ablation_grid_from_dict),
+    ("lambda_sweep.json", sweep_spec_from_dict),
+])
+def test_shipped_configs_load_and_round_trip(name, load):
+    payload = json.loads((CONFIGS / name).read_text())
+    spec = load(payload)
+    assert config_to_dict(spec) == payload
+    if "base" in payload:
+        assert config_to_dict(config_from_dict(payload["base"])) == payload["base"]
+
+
+def test_removed_config_keys_are_rejected(tmp_path, capsys):
+    payload = json.loads((CONFIGS / "synthetic_small.json").read_text())
+    payload["strict_deterministic"] = True
+    cpath = tmp_path / "old.json"
+    cpath.write_text(json.dumps(payload))
+    assert main(["train", "--config", str(cpath), "--out", str(tmp_path / "o")]) == 2
+    assert "strict_deterministic" in capsys.readouterr().err
+    payload.pop("strict_deterministic")
+    payload["dataset"]["split"] = "train"
+    with pytest.raises(ConfigError, match=r"config\.dataset: unknown field\(s\) \['split'\]"):
+        config_from_dict(payload)
 
 
 # -- ablation grid -----------------------------------------------------------

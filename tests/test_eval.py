@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixsiam.augment import AugmentConfig
+from conftest import tiny_config
 from mixsiam.data import SyntheticConfig, make_synthetic
 from mixsiam.errors import ConfigError, ShapeError
 from mixsiam.eval import (
@@ -27,22 +27,7 @@ from mixsiam.eval import (
     write_report,
 )
 from mixsiam.model import EncoderSpec, PredictorSpec, init
-from mixsiam.train import DatasetConfig, TrainConfig, config_from_dict
-
-
-def tiny_config(**overrides):
-    base = dict(
-        dataset=DatasetConfig(classes=2, per_class=6, size=8, seed=5),
-        encoder=EncoderSpec.tiny(),
-        predictor=PredictorSpec.tiny(),
-        augment=AugmentConfig(output_size=8, seed=11),
-        batch_size=4,
-        epochs=2,
-        seed=11,
-        precision=64,
-    )
-    base.update(overrides)
-    return TrainConfig(**base)
+from mixsiam.train import DatasetConfig, config_from_dict
 
 
 def blobs(seed, per_class=20, classes=3, dim=6, spread=0.1):

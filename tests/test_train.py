@@ -17,15 +17,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import tiny_config
 from mixsiam import autodiff as ad
 from mixsiam.augment import (
     VIEW1_SLOT,
     VIEW2_SLOT,
-    AugmentConfig,
     LambdaMixPolicy,
     augment_view,
     view_rng,
 )
+from mixsiam.cli import main
 from mixsiam.data import SyntheticConfig, batches, make_synthetic
 from mixsiam.errors import ConfigError, ParseError, TrainingAborted
 from mixsiam.loss import AggregationStrategy, siam_loss
@@ -56,21 +57,6 @@ from mixsiam.train import (
 
 def tiny_dataset(seed=5):
     return make_synthetic(SyntheticConfig(classes=2, per_class=6, size=8, seed=seed))
-
-
-def tiny_config(**overrides):
-    base = dict(
-        dataset=DatasetConfig(classes=2, per_class=6, size=8, seed=5),
-        encoder=EncoderSpec.tiny(),
-        predictor=PredictorSpec.tiny(),
-        augment=AugmentConfig(output_size=8, seed=11),
-        batch_size=4,
-        epochs=2,
-        seed=11,
-        precision=64,
-    )
-    base.update(overrides)
-    return TrainConfig(**base)
 
 
 # -- cosine schedule -------------------------------------------------------
@@ -158,6 +144,16 @@ def test_config_rejects_unknown_fields():
         config_from_dict({"augment": {"output_size": 8, "bogus": 1}})
     with pytest.raises(ConfigError):
         config_from_dict([1, 2, 3])
+
+
+@pytest.mark.parametrize("payload", [
+    {"encoder": {"stages": "abc"}},
+    {"encoder": {"projector": 5}},
+    {"augment": {"crop_scale_range": 0.5}},
+])
+def test_config_rejects_a_non_list_for_a_tuple_field(payload):
+    with pytest.raises(ConfigError, match="expected a list"):
+        config_from_dict(payload)
 
 
 def test_config_hash_is_stable_and_sensitive():
@@ -489,14 +485,33 @@ def test_checkpoint_rejects_shape_mismatch(tmp_path):
         load_checkpoint(path)
 
 
-def test_checkpoint_rejects_truncated_payload(tmp_path):
+@pytest.mark.parametrize("where", ["magic", "version", "length", "header", "payload"])
+def test_checkpoint_rejects_truncated_payload(tmp_path, capsys, where):
     cfg = tiny_config()
     path = tmp_path / "ckpt.bin"
     save_checkpoint(TrainState.fresh(cfg), cfg, path)
     blob = path.read_bytes()
-    path.write_bytes(blob[:-16])
+    hlen = struct.unpack("<Q", blob[8:16])[0]
+    cut = {"magic": 2, "version": 6, "length": 10, "header": 16 + hlen // 2,
+           "payload": len(blob) - 16}[where]
+    path.write_bytes(blob[:cut])
     with pytest.raises(ParseError, match="truncated"):
         load_checkpoint(path)
+    assert main(["eval", "--resume", str(path), "--out", str(tmp_path / "eval")]) == 2
+    assert "truncated" in capsys.readouterr().err
+
+
+def test_checkpoint_rejects_corrupt_header(tmp_path, capsys):
+    cfg = tiny_config()
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(TrainState.fresh(cfg), cfg, path)
+    blob = bytearray(path.read_bytes())
+    blob[16] = 0xFF  # not UTF-8, and not the opening brace of the JSON header
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ParseError, match="not valid JSON"):
+        read_checkpoint_header(path)
+    assert main(["eval", "--resume", str(path), "--out", str(tmp_path / "eval")]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
 
 
 # -- the outer loop ----------------------------------------------------------
@@ -582,6 +597,40 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     with open(full / "ckpt_final.bin", "rb") as fa:
         with open(resumed / "ckpt_final.bin", "rb") as fb:
             assert fa.read() == fb.read()
+
+
+def test_resume_in_place_replaces_rows_past_the_checkpoint(tmp_path):
+    # the crash-recovery path: resume from an epoch checkpoint into the
+    # directory of the run that wrote it, whose metrics.csv already holds
+    # the rows of the later epochs
+    cfg = tiny_config(epochs=4)
+    ds = tiny_dataset()
+    out = tmp_path / "run"
+    run(cfg, ds, out)
+    with open(metrics_path(out), "rb") as f:
+        uninterrupted = f.read()
+    with open(out / "ckpt_final.bin", "rb") as f:
+        final = f.read()
+
+    run(cfg, ds, out, resume=checkpoint_path(out, 2))
+    with open(metrics_path(out), "rb") as f:
+        assert f.read() == uninterrupted
+    with open(out / "ckpt_final.bin", "rb") as f:
+        assert f.read() == final
+
+
+def test_resume_in_place_drops_an_unfinished_row(tmp_path):
+    cfg = tiny_config(epochs=2)
+    ds = tiny_dataset()
+    out = tmp_path / "run"
+    run(cfg, ds, out)
+    with open(metrics_path(out), "rb") as f:
+        uninterrupted = f.read()
+    with open(metrics_path(out), "ab") as f:
+        f.write(b"6,2,0.0")  # a row cut short by a crash
+    run(cfg, ds, out, resume=checkpoint_path(out, 1))
+    with open(metrics_path(out), "rb") as f:
+        assert f.read() == uninterrupted
 
 
 def test_resume_rejects_config_hash_mismatch(tmp_path):
