@@ -5,6 +5,12 @@ The graph is rebuilt on every forward pass and garbage-collected once the
 loss tensor is dropped; `backward` walks it exactly once in reverse
 topological order. All kernels are plain single-threaded numpy calls, so
 results are bitwise reproducible run to run.
+
+Op contract: an op records its parents and a backward rule `bw(g)`, a pure
+function of the upstream gradient `g` that returns one gradient per parent,
+in parent order, with `None` for a gradient it does not compute. Returned
+arrays may be views (of `g`, or broadcasts); `backward` is the one place
+that accumulates them onto the parents.
 """
 
 from __future__ import annotations
@@ -98,16 +104,6 @@ def _result(data, parents, backward_fn, op):
     return Tensor(data, requires_grad=False, _op=op)
 
 
-def _accumulate(grads, t, g):
-    if not t.requires_grad:
-        return
-    key = id(t)
-    if key in grads:
-        grads[key] += g
-    else:
-        grads[key] = np.array(g, dtype=t.data.dtype, copy=True)
-
-
 def _as_pair(a, b, op):
     """Coerce `b` to a same-shape tensor or a scalar of `a`'s dtype."""
     if isinstance(b, Tensor):
@@ -159,7 +155,14 @@ def backward(loss):
         g = grads.get(id(node))
         if g is None or node._backward_fn is None:
             continue
-        node._backward_fn(g, grads)
+        for parent, pg in zip(node._parents, node._backward_fn(g)):
+            if pg is None or not parent.requires_grad:
+                continue
+            key = id(parent)
+            if key in grads:
+                grads[key] += pg
+            else:  # copy: a rule may return a view of `g` or a broadcast
+                grads[key] = np.array(pg, dtype=parent.data.dtype, copy=True)
     for node in graph.nodes:
         g = grads.get(id(node))
         if g is None:
@@ -176,41 +179,23 @@ def backward(loss):
 def add(a, b):
     b, scalar = _as_pair(a, b, "add")
     if scalar:
-        def bw(g, grads):
-            _accumulate(grads, a, g)
-        return _result(a.data + b, (a,), bw, "add")
-
-    def bw(g, grads):
-        _accumulate(grads, a, g)
-        _accumulate(grads, b, g)
-    return _result(a.data + b.data, (a, b), bw, "add")
+        return _result(a.data + b, (a,), lambda g: (g,), "add")
+    return _result(a.data + b.data, (a, b), lambda g: (g, g), "add")
 
 
 def sub(a, b):
     b, scalar = _as_pair(a, b, "sub")
     if scalar:
-        def bw(g, grads):
-            _accumulate(grads, a, g)
-        return _result(a.data - b, (a,), bw, "sub")
-
-    def bw(g, grads):
-        _accumulate(grads, a, g)
-        _accumulate(grads, b, -g)
-    return _result(a.data - b.data, (a, b), bw, "sub")
+        return _result(a.data - b, (a,), lambda g: (g,), "sub")
+    return _result(a.data - b.data, (a, b), lambda g: (g, -g), "sub")
 
 
 def mul(a, b):
     """Elementwise product, or scale-by-constant when `b` is a scalar."""
     b, scalar = _as_pair(a, b, "mul")
     if scalar:
-        def bw(g, grads):
-            _accumulate(grads, a, g * b)
-        return _result(a.data * b, (a,), bw, "scale")
-
-    def bw(g, grads):
-        _accumulate(grads, a, g * b.data)
-        _accumulate(grads, b, g * a.data)
-    return _result(a.data * b.data, (a, b), bw, "mul")
+        return _result(a.data * b, (a,), lambda g: (g * b,), "scale")
+    return _result(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data), "mul")
 
 
 def maximum(a, b):
@@ -219,19 +204,13 @@ def maximum(a, b):
     if a.data.shape != b.data.shape:
         raise ShapeError(f"maximum: shapes {a.data.shape} and {b.data.shape} differ")
     first = a.data >= b.data
-
-    def bw(g, grads):
-        _accumulate(grads, a, np.where(first, g, 0))
-        _accumulate(grads, b, np.where(first, 0, g))
-    return _result(np.where(first, a.data, b.data), (a, b), bw, "maximum")
+    return _result(np.where(first, a.data, b.data), (a, b),
+                   lambda g: (np.where(first, g, 0), np.where(first, 0, g)), "maximum")
 
 
 def relu(a):
     mask = a.data > 0
-
-    def bw(g, grads):
-        _accumulate(grads, a, np.where(mask, g, 0))
-    return _result(np.where(mask, a.data, 0), (a,), bw, "relu")
+    return _result(np.where(mask, a.data, 0), (a,), lambda g: (np.where(mask, g, 0),), "relu")
 
 
 def detach(a):
@@ -245,29 +224,20 @@ def detach(a):
 def matmul(a, b):
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul: shapes {a.data.shape} and {b.data.shape} incompatible")
-
-    def bw(g, grads):
-        _accumulate(grads, a, g @ b.data.T)
-        _accumulate(grads, b, a.data.T @ g)
-    return _result(a.data @ b.data, (a, b), bw, "matmul")
+    return _result(a.data @ b.data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g), "matmul")
 
 
 def add_bias(x, b):
     """Add a length-D bias row-wise to a [B, D] tensor."""
     if x.data.ndim != 2 or b.data.shape != (x.data.shape[1],):
         raise ShapeError(f"add_bias: shapes {x.data.shape} and {b.data.shape} incompatible")
-
-    def bw(g, grads):
-        _accumulate(grads, x, g)
-        _accumulate(grads, b, g.sum(axis=0))
-    return _result(x.data + b.data, (x, b), bw, "add_bias")
+    return _result(x.data + b.data, (x, b), lambda g: (g, g.sum(axis=0)), "add_bias")
 
 
 def tensor_sum(a):
     """Sum of all elements, as a scalar tensor."""
-    def bw(g, grads):
-        _accumulate(grads, a, np.broadcast_to(g, a.data.shape))
-    return _result(np.sum(a.data, dtype=a.data.dtype), (a,), bw, "sum")
+    return _result(np.sum(a.data, dtype=a.data.dtype), (a,),
+                   lambda g: (np.broadcast_to(g, a.data.shape),), "sum")
 
 
 def l2_normalize(x, eps=L2_NORM_EPS):
@@ -287,10 +257,10 @@ def l2_normalize(x, eps=L2_NORM_EPS):
     y = x.data / denom
     active = norms >= eps  # rows where the norm (first max argument) won
 
-    def bw(g, grads):
+    def bw(g):
         rowdot = np.sum(g * y, axis=1, keepdims=True)
         zero = x.data.dtype.type(0)
-        _accumulate(grads, x, np.where(active, (g - y * rowdot) / denom, zero))
+        return (np.where(active, (g - y * rowdot) / denom, zero),)
     return _result(y, (x,), bw, "l2_normalize")
 
 
@@ -342,23 +312,18 @@ def batchnorm(x, gamma, beta, running_mean, running_var, mode,
         unbiased = var.reshape(-1) * (n / (n - 1))
         running_var *= (1.0 - momentum)
         running_var += momentum * unbiased.astype(running_var.dtype)
-
-        def bw(g, grads):
-            _accumulate(grads, gamma, np.sum(g * xhat, axis=axes))
-            _accumulate(grads, beta, np.sum(g, axis=axes))
-            dxhat = g * gview
-            dx = (dxhat - np.mean(dxhat, axis=axes, keepdims=True)
-                  - xhat * np.mean(dxhat * xhat, axis=axes, keepdims=True)) * inv_std
-            _accumulate(grads, x, dx)
     else:
         inv_std = 1.0 / np.sqrt(running_var.reshape(pshape).astype(x.data.dtype) + eps)
         xhat = (x.data - running_mean.reshape(pshape).astype(x.data.dtype)) * inv_std
 
-        def bw(g, grads):
-            _accumulate(grads, gamma, np.sum(g * xhat, axis=axes))
-            _accumulate(grads, beta, np.sum(g, axis=axes))
-            _accumulate(grads, x, g * gview * inv_std)
-
+    def bw(g):
+        if mode == "train":  # the batch statistics depend on x too
+            dxhat = g * gview
+            dx = (dxhat - np.mean(dxhat, axis=axes, keepdims=True)
+                  - xhat * np.mean(dxhat * xhat, axis=axes, keepdims=True)) * inv_std
+        else:
+            dx = g * gview * inv_std
+        return dx, np.sum(g * xhat, axis=axes), np.sum(g, axis=axes)
     return _result(gview * xhat + bview, (x, gamma, beta), bw, "batchnorm")
 
 
@@ -392,11 +357,11 @@ def conv2d(x, k, stride=1, padding=0):
     kmat = k.data.reshape(kout, -1)
     out = (cols @ kmat.T).transpose(0, 2, 1).reshape(bsz, kout, hout, wout)
 
-    def bw(g, grads):
+    def bw(g):
         gmat = g.reshape(bsz, kout, hout * wout).transpose(0, 2, 1)
+        dxp = dk = None
         if k.requires_grad:
             dk = np.einsum("bnk,bnc->kc", gmat, cols).reshape(k.data.shape)
-            _accumulate(grads, k, dk)
         if x.requires_grad:
             dcols = (gmat @ kmat).reshape(bsz, hout, wout, cin, kh, kw)
             dcols = dcols.transpose(0, 3, 4, 5, 1, 2)  # [B, C, kh, kw, hout, wout]
@@ -407,7 +372,7 @@ def conv2d(x, k, stride=1, padding=0):
                         j:j + stride * (wout - 1) + 1:stride] += dcols[:, :, i, j]
             if padding:
                 dxp = dxp[:, :, padding:padding + h, padding:padding + w]
-            _accumulate(grads, x, dxp)
+        return dxp, dk
     return _result(out, (x, k), bw, "conv2d")
 
 
@@ -417,10 +382,9 @@ def global_avg_pool(x):
         raise ShapeError(f"global_avg_pool: expected 4-d input, got shape {x.data.shape}")
     _, _, h, w = x.data.shape
     scale = x.data.dtype.type(1.0 / (h * w))
-
-    def bw(g, grads):
-        _accumulate(grads, x, np.broadcast_to((g * scale)[:, :, None, None], x.data.shape))
-    return _result(np.mean(x.data, axis=(2, 3)), (x,), bw, "global_avg_pool")
+    return _result(np.mean(x.data, axis=(2, 3)), (x,),
+                   lambda g: (np.broadcast_to((g * scale)[:, :, None, None], x.data.shape),),
+                   "global_avg_pool")
 
 
 # -- classification head ----------------------------------------------
@@ -440,8 +404,8 @@ def softmax_cross_entropy(logits, labels):
     logp = z - np.log(sumexp)
     loss = -np.mean(logp[np.arange(bsz), labels], dtype=logits.data.dtype)
 
-    def bw(g, grads):
+    def bw(g):
         dlogits = expz / sumexp
         dlogits[np.arange(bsz), labels] -= 1.0
-        _accumulate(grads, logits, dlogits * (g / bsz))
+        return (dlogits * (g / bsz),)
     return _result(np.asarray(loss, dtype=logits.data.dtype), (logits,), bw, "softmax_cross_entropy")

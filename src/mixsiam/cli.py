@@ -262,11 +262,6 @@ def write_summary_csv(path, comments, key_columns, rows):
 # -- subcommands -------------------------------------------------------------
 
 
-def _prepare_out(out_dir):
-    os.makedirs(out_dir, exist_ok=True)
-    return out_dir
-
-
 def _load_train_config(args) -> TrainConfig:
     if not args.config:
         raise ConfigError("this command requires --config PATH")
@@ -283,8 +278,8 @@ def _write_report_files(report, cfg, out_dir, **extra):
     write_per_class_csv(report, os.path.join(out_dir, "per_class.csv"))
 
 
-def _train_and_evaluate(cfg, out_dir, resume=None):
-    train_ds, test_ds = eval_datasets(cfg.dataset)
+def _train_and_evaluate(cfg, datasets, out_dir, resume=None):
+    train_ds, test_ds = datasets
     state = run(cfg, train_ds, out_dir, resume=resume)
     report = evaluate(state.params, cfg, train_ds, test_ds, ProbeConfig())
     _write_report_files(report, cfg, out_dir)
@@ -293,13 +288,13 @@ def _train_and_evaluate(cfg, out_dir, resume=None):
 
 def cmd_train(args) -> int:
     cfg = _load_train_config(args)
-    out = _prepare_out(args.out)
+    os.makedirs(args.out, exist_ok=True)
     if args.resume and not os.path.exists(args.resume):
         raise ConfigError(f"resume checkpoint not found: {args.resume}")
-    report = _train_and_evaluate(cfg, out, resume=args.resume)
+    report = _train_and_evaluate(cfg, eval_datasets(cfg.dataset), args.out, resume=args.resume)
     print(f"train done: knn_top1={report.knn_top1:.4f} "
           f"linear_top1={report.linear_top1:.4f} "
-          f"embedding_std={report.embedding_std:.4f} -> {out}")
+          f"embedding_std={report.embedding_std:.4f} -> {args.out}")
     return 0
 
 
@@ -308,19 +303,20 @@ def cmd_eval(args) -> int:
         raise ConfigError("eval requires --resume CHECKPOINT")
     if not os.path.exists(args.resume):
         raise ConfigError(f"checkpoint not found: {args.resume}")
-    out = _prepare_out(args.out)
+    os.makedirs(args.out, exist_ok=True)
     state, cfg = load_checkpoint(args.resume)
     train_ds, test_ds = eval_datasets(cfg.dataset)
     report = evaluate(state.params, cfg, train_ds, test_ds, ProbeConfig())
-    _write_report_files(report, cfg, out, checkpoint=os.path.abspath(args.resume))
+    _write_report_files(report, cfg, args.out, checkpoint=os.path.abspath(args.resume))
     print(f"eval done: knn_top1={report.knn_top1:.4f} "
-          f"linear_top1={report.linear_top1:.4f} -> {out}")
+          f"linear_top1={report.linear_top1:.4f} -> {args.out}")
     return 0
 
 
-def _run_cells(base, cells, out_dir, repeats):
-    """Train/evaluate every (cell_id, config-builder) pair; never let one
-    failed cell abort the rest. Returns one CellSummary per cell, in order."""
+def _run_cells(base, cells, datasets, out_dir, repeats):
+    """Train/evaluate every (cell_id, config-builder) pair on the shared
+    (train, test) `datasets`; never let one failed cell abort the rest.
+    Returns one CellSummary per cell, in order."""
     results = []
     for cell_id, make_cfg in cells:
         knn, linear = [], []
@@ -330,7 +326,7 @@ def _run_cells(base, cells, out_dir, repeats):
             cell_dir = os.path.join(out_dir, "cells", f"{cell_id}_rep{rep}")
             os.makedirs(cell_dir, exist_ok=True)
             try:
-                report = _train_and_evaluate(cfg, cell_dir)
+                report = _train_and_evaluate(cfg, datasets, cell_dir)
             except Exception as e:  # noqa: BLE001 - cell isolation is the point
                 print(f"cell {cell_id} rep {rep} failed: {e}", file=sys.stderr)
                 continue
@@ -340,33 +336,31 @@ def _run_cells(base, cells, out_dir, repeats):
     return results
 
 
-def _validate_runnable(cfg: TrainConfig):
-    """Catch systemic misconfiguration before launching a whole grid."""
-    train_ds, _ = eval_datasets(cfg.dataset)
-    if len(train_ds) // cfg.batch_size < 1:
-        raise ConfigError(
-            f"batch_size {cfg.batch_size} exceeds dataset size {len(train_ds)}")
-
-
 def _grid_setup(base: TrainConfig, args):
-    """(seeded base, output dir, base config hash) for ablate/sweep-lambda."""
+    """(seeded base, (train, test) datasets, base config hash) for
+    ablate/sweep-lambda. No cell changes `dataset`, so every cell trains on
+    the one pair; a batch larger than it fails here, before the grid runs."""
     if args.seed is not None:
         base = _with_seed(base, args.seed)
-    _validate_runnable(base)
-    return base, _prepare_out(args.out), config_hash(base)
+    train_ds, test_ds = eval_datasets(base.dataset)
+    if len(train_ds) // base.batch_size < 1:
+        raise ConfigError(
+            f"batch_size {base.batch_size} exceeds dataset size {len(train_ds)}")
+    os.makedirs(args.out, exist_ok=True)
+    return base, (train_ds, test_ds), config_hash(base)
 
 
 def cmd_ablate(args) -> int:
     grid = ablation_grid_from_dict(_load_json(args.config, "ablation grid")
                                    if args.config else {})
-    base, out, digest = _grid_setup(grid.base, args)
+    base, datasets, digest = _grid_setup(grid.base, args)
     keys = [(agg, mixture) for agg in grid.aggregations for mixture in grid.mixtures]
     summaries = _run_cells(base, [(f"{a}-{m}", lambda s, a=a, m=m: cell_config(base, a, m, s))
-                                  for a, m in keys], out, grid.repeats)
+                                  for a, m in keys], datasets, args.out, grid.repeats)
 
     ref = " ".join(f"{k}={v}" for k, v in REFERENCE_TABLE.items())
     write_summary_csv(
-        os.path.join(out, "ablation.csv"),
+        os.path.join(args.out, "ablation.csv"),
         [f"config_hash={digest}",
          f"reference top-1 % from the original CIFAR-10 experiments: {ref}"
          " (metadata only, not asserted)"],
@@ -384,7 +378,7 @@ def cmd_ablate(args) -> int:
         lines.append(f"{agg:<12} {mixture:<12} {knn_txt:<20} {lin_txt:<20}")
     lines += ["", "reference top-1 % from the original CIFAR-10 experiments "
               "(metadata only): " + ref]
-    with open(os.path.join(out, "ablation.txt"), "w") as f:
+    with open(os.path.join(args.out, "ablation.txt"), "w") as f:
         f.write("\n".join(lines) + "\n")
     print("\n".join(lines))
     return 0 if any(summary.ok for summary in summaries) else 1
@@ -393,14 +387,14 @@ def cmd_ablate(args) -> int:
 def cmd_sweep_lambda(args) -> int:
     spec = sweep_spec_from_dict(_load_json(args.config, "sweep spec")
                                 if args.config else {"lambda_values": [0.0, 0.5, 1.0]})
-    base, out, digest = _grid_setup(spec.base, args)
+    base, datasets, digest = _grid_setup(spec.base, args)
     summaries = _run_cells(
         base, [(f"lambda-{lam:g}", lambda s, l=lam:
                 _with_seed(dataclasses.replace(base, lam=l), s))
-               for lam in spec.lambda_values], out, spec.repeats)
+               for lam in spec.lambda_values], datasets, args.out, spec.repeats)
 
     write_summary_csv(
-        os.path.join(out, "sweep.csv"),
+        os.path.join(args.out, "sweep.csv"),
         [f"config_hash={digest}",
          f"reference: lambda=0 reached {REFERENCE_LAMBDA_ZERO}% top-1 in the"
          " original CIFAR-10 experiments (metadata only, not asserted)"],
@@ -412,7 +406,7 @@ def cmd_sweep_lambda(args) -> int:
         # plot the linear-probe accuracy: it separates the blend settings
         # long before the k-NN numbers move off their ceiling
         write_accuracy_svg([(lam, lm) for lam, _, lm in points],
-                           os.path.join(out, "sweep.svg"), digest)
+                           os.path.join(args.out, "sweep.svg"), digest)
     for lam, km, lm in points:
         print(f"lambda={lam:g}: knn_top1={km:.4f} linear_top1={lm:.4f}")
     return 0 if points else 1
@@ -420,7 +414,7 @@ def cmd_sweep_lambda(args) -> int:
 
 def cmd_dump_views(args) -> int:
     cfg = _load_train_config(args)
-    out = _prepare_out(args.out)
+    os.makedirs(args.out, exist_ok=True)
     dataset = cfg.dataset.build()
     if args.count < 1:
         raise ConfigError(f"--count must be positive, got {args.count}")
@@ -428,8 +422,8 @@ def cmd_dump_views(args) -> int:
     comment = f"config_hash={config_hash(cfg)}"
     for i, record in enumerate(dataset.records[:count]):
         strip = view_strip(record, cfg)
-        write_ppm(strip, os.path.join(out, f"views_{i:03d}.ppm"), comment=comment)
-    print(f"wrote {count} sheet(s) to {out}: "
+        write_ppm(strip, os.path.join(args.out, f"views_{i:03d}.ppm"), comment=comment)
+    print(f"wrote {count} sheet(s) to {args.out}: "
           "panels are original | view 1 | view 2 | mixed")
     return 0
 

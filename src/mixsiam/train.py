@@ -29,8 +29,6 @@ from .model import EncoderSpec, ModelParams, PredictorSpec, encode, init, predic
 CHECKPOINT_MAGIC = b"MXSM"
 CHECKPOINT_VERSION = 1
 LOSS_TAIL_LEN = 50
-METRICS_COLUMNS = ("step", "epoch", "lr", "l_siam", "l_mix", "total",
-                   "grad_norm", "embedding_std")
 AGG_SLOT = 3  # rng slot for the seeded_random aggregation coin (views use 0..2)
 
 
@@ -189,9 +187,10 @@ class StepMetrics:
     embedding_std: float
 
     def row(self):
-        return (f"{self.step},{self.epoch},{self.lr!r},{self.l_siam!r},"
-                f"{self.l_mix!r},{self.total!r},{self.grad_norm!r},"
-                f"{self.embedding_std!r}")
+        return ",".join(map(repr, dataclasses.astuple(self)))
+
+
+METRICS_COLUMNS = tuple(f.name for f in dataclasses.fields(StepMetrics))
 
 
 @dataclass
@@ -268,14 +267,10 @@ def train_step(state: TrainState, batch, cfg: TrainConfig, total_steps: int) -> 
     pm = predict(params, zm, "train")
 
     agg_rng = np.random.default_rng([cfg.seed, state.epoch, state.step, AGG_SLOT])
-    if cfg.stop_gradient:
-        l_siam = siam_loss(p1, p2, z1, z2)
-        z_f = aggregate(z1, z2, cfg.aggregation, agg_rng).detach()
-        l_mix = mix_loss(pm, z_f)
-    else:
-        # collapse ablation: targets stay attached to the graph
-        l_siam = siam_loss(p1, p2, z1, z2, stop_gradient=False)
-        l_mix = neg_cosine(pm, aggregate(z1, z2, cfg.aggregation, agg_rng))
+    l_siam = siam_loss(p1, p2, z1, z2, stop_gradient=cfg.stop_gradient)
+    z_f = aggregate(z1, z2, cfg.aggregation, agg_rng)
+    # without stop-gradient (the collapse ablation) the target stays attached
+    l_mix = mix_loss(pm, z_f.detach()) if cfg.stop_gradient else neg_cosine(pm, z_f)
     total, breakdown = total_loss(l_siam, l_mix, cfg.lam)
 
     _check_finite("loss", total.data, state.step)
@@ -300,32 +295,32 @@ def train_step(state: TrainState, batch, cfg: TrainConfig, total_steps: int) -> 
 # -- checkpoints ----------------------------------------------------------
 
 
-def _array_manifest(state: TrainState):
-    """(kind, name, array) triples in a fixed serialization order."""
-    out = []
-    for name, t in state.params.named():
-        out.append(("param", name, t.data))
-    for name, t in state.params.named():
-        out.append(("velocity", name, state.velocity[name]))
-    for name, arr in state.params.running.items():
-        out.append(("running", name, arr))
-    return out
+HEADER_FIELDS = {"config": dict, "epoch": int, "step": int, "loss_tail": list,
+                 "dtype": str, "arrays": list}
+
+
+def _manifest(state: TrainState, cfg: TrainConfig):
+    """The payload dtype of `cfg`, and (entry, array) pairs in the fixed
+    serialization order, where `entry` is the header's record of the array:
+    kind, name, shape, and the byte offset and length of its payload bytes."""
+    dtype = np.dtype("<f4" if cfg.precision == 32 else "<f8")
+    arrays = ([("param", name, t.data) for name, t in state.params.named()]
+              + [("velocity", name, state.velocity[name]) for name, _ in state.params.named()]
+              + [("running", name, arr) for name, arr in state.params.running.items()])
+    out, offset = [], 0
+    for kind, name, arr in arrays:
+        nbytes = arr.size * dtype.itemsize
+        out.append(({"kind": kind, "name": name, "shape": list(arr.shape),
+                     "offset": offset, "nbytes": nbytes}, arr))
+        offset += nbytes
+    return dtype, out
 
 
 def save_checkpoint(state: TrainState, cfg: TrainConfig, path):
     """Binary checkpoint: MXSM magic, u32 version, u64 header length, JSON
     header, then the little-endian float payload (params, momentum buffers
     and batch-norm running stats — everything bitwise resume needs)."""
-    dtype = np.dtype("<f4" if cfg.precision == 32 else "<f8")
-    arrays = []
-    offset = 0
-    blobs = []
-    for kind, name, arr in _array_manifest(state):
-        raw = np.ascontiguousarray(arr, dtype=dtype).tobytes()
-        arrays.append({"kind": kind, "name": name, "shape": list(arr.shape),
-                       "offset": offset, "nbytes": len(raw)})
-        blobs.append(raw)
-        offset += len(raw)
+    dtype, manifest = _manifest(state, cfg)
     header = {
         "format_version": CHECKPOINT_VERSION,
         "config": config_to_dict(cfg),
@@ -336,7 +331,7 @@ def save_checkpoint(state: TrainState, cfg: TrainConfig, path):
         "rng": {"scheme": "keyed", "note": "streams derive from (seed, epoch, "
                 "sample, slot); no mutable rng state exists"},
         "loss_tail": state.loss_tail[-LOSS_TAIL_LEN:],
-        "arrays": arrays,
+        "arrays": [entry for entry, _ in manifest],
     }
     hbytes = json.dumps(header, sort_keys=True).encode()
     tmp = f"{path}.tmp"
@@ -345,8 +340,8 @@ def save_checkpoint(state: TrainState, cfg: TrainConfig, path):
         f.write(struct.pack("<I", CHECKPOINT_VERSION))
         f.write(struct.pack("<Q", len(hbytes)))
         f.write(hbytes)
-        for raw in blobs:
-            f.write(raw)
+        for _, arr in manifest:
+            f.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
     os.replace(tmp, path)
 
 
@@ -380,33 +375,44 @@ def read_checkpoint_header(path) -> dict:
 
 
 def load_checkpoint(path) -> tuple:
-    """Rebuild (TrainState, TrainConfig) from a checkpoint file."""
+    """Rebuild (TrainState, TrainConfig) from a checkpoint file.
+
+    The header must list exactly the arrays that `save_checkpoint` writes
+    for its config, in order; the payload is read in that order.
+    """
     with open(path, "rb") as f:
         header = _read_header(f, path)
         payload = f.read()
+    if not isinstance(header, dict):
+        raise ParseError(f"{path}: checkpoint header is a {type(header).__name__},"
+                         " expected a JSON object")
+    for key, kind in HEADER_FIELDS.items():
+        if not isinstance(header.get(key), kind):
+            raise ParseError(f"{path}: checkpoint header field {key!r} is missing"
+                             f" or not of type {kind.__name__}")
     cfg = config_from_dict(header["config"])
     state = TrainState.fresh(cfg)
     state.epoch = header["epoch"]
     state.step = header["step"]
-    state.loss_tail = list(header["loss_tail"])
-    dtype = np.dtype(header["dtype"])
-    lookup = {"param": {n: t.data for n, t in state.params.named()},
-              "velocity": state.velocity,
-              "running": state.params.running}
-    for entry in header["arrays"]:
-        dest = lookup[entry["kind"]][entry["name"]]
-        end = entry["offset"] + entry["nbytes"]
-        if end > len(payload):
-            raise ParseError(
-                f"{path}: truncated payload, array {entry['name']} needs"
-                f" bytes up to {end} but only {len(payload)} are present")
-        raw = payload[entry["offset"]:end]
-        arr = np.frombuffer(raw, dtype=dtype).reshape(entry["shape"])
-        if dest.shape != arr.shape:
-            raise ParseError(
-                f"{path}: array {entry['name']} has shape {arr.shape},"
-                f" expected {dest.shape}")
-        dest[...] = arr.astype(dest.dtype)
+    state.loss_tail = header["loss_tail"]
+    dtype, manifest = _manifest(state, cfg)
+    if header["dtype"] != dtype.str:
+        raise ParseError(f"{path}: checkpoint dtype {header['dtype']!r} does not match"
+                         f" {dtype.str!r} of precision {cfg.precision}")
+    if len(header["arrays"]) != len(manifest):
+        raise ParseError(f"{path}: checkpoint lists {len(header['arrays'])} arrays,"
+                         f" its config needs {len(manifest)}")
+    for i, (have, (want, _)) in enumerate(zip(header["arrays"], manifest)):
+        if have != want:
+            raise ParseError(f"{path}: checkpoint array entry {i} is {have!r}, its config"
+                             f" needs {want!r} (kind, name, shape, offset and nbytes)")
+    need = sum(entry["nbytes"] for entry, _ in manifest)
+    if len(payload) < need:
+        raise ParseError(f"{path}: truncated payload, the arrays need {need} bytes"
+                         f" but only {len(payload)} are present")
+    for entry, dest in manifest:
+        raw = payload[entry["offset"]:entry["offset"] + entry["nbytes"]]
+        dest[...] = np.frombuffer(raw, dtype=dtype).reshape(dest.shape).astype(dest.dtype)
     return state, cfg
 
 

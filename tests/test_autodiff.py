@@ -400,6 +400,48 @@ def test_diamond_graph_gradient(seed):
     assert np.allclose(x.grad, 4 * data + 2, rtol=1e-12)
 
 
+# op -> (forward over the argument tensors, argument shapes)
+CONSTANT_ARG_OPS = {
+    "add": (lambda a, b: a + b, [(3, 4), (3, 4)]),
+    "sub": (lambda a, b: a - b, [(3, 4), (3, 4)]),
+    "mul": (lambda a, b: a * b, [(3, 4), (3, 4)]),
+    "maximum": (ad.maximum, [(3, 4), (3, 4)]),
+    "matmul": (ad.matmul, [(3, 4), (4, 2)]),
+    "add_bias": (ad.add_bias, [(3, 4), (4,)]),
+    "conv2d": (lambda x, k: ad.conv2d(x, k, stride=2, padding=1), [(2, 2, 5, 5), (3, 2, 3, 3)]),
+    "batchnorm_train": (lambda x, g, b: ad.batchnorm(x, g, b, np.zeros(4), np.ones(4), "train"),
+                        [(6, 4), (4,), (4,)]),
+    "batchnorm_eval": (lambda x, g, b: ad.batchnorm(x, g, b, np.zeros(4), np.ones(4), "eval"),
+                       [(6, 4), (4,), (4,)]),
+}
+
+
+@pytest.mark.parametrize("op,constant", [
+    (op, constant) for op, (_, shapes) in CONSTANT_ARG_OPS.items()
+    for constant in ([(0,), (1,)] if len(shapes) == 2 else [(1, 2)])])
+def test_constant_argument_leaves_other_grads_unchanged(op, constant):
+    # a parent without requires_grad gets no grad, and the others get
+    # exactly the grads they get when every argument is trainable
+    fn, shapes = CONSTANT_ARG_OPS[op]
+    rng = np.random.default_rng(23)
+    arrays = [_rand(rng, *shape) for shape in shapes]
+    w = tensor(_rand(rng, *fn(*map(tensor, arrays)).shape))
+
+    def grads(trainable):
+        tensors = [tensor(a, requires_grad=i in trainable) for i, a in enumerate(arrays)]
+        (fn(*tensors) * w).sum().backward()
+        return [t.grad for t in tensors]
+
+    everything = range(len(arrays))
+    full = grads(set(everything))
+    partial = grads(set(everything) - set(constant))
+    for i in everything:
+        if i in constant:
+            assert partial[i] is None
+        else:
+            assert np.array_equal(partial[i], full[i])
+
+
 def test_dtype_mismatch_raises():
     a = tensor(np.zeros((2, 2)), dtype=np.float32)
     b = tensor(np.zeros((2, 2)), dtype=np.float64)

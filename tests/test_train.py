@@ -458,8 +458,9 @@ def rewrite_header(path, mutate):
         (hlen,) = struct.unpack("<Q", f.read(8))
         header = json.loads(f.read(hlen).decode())
         payload = f.read()
-    mutate(header)
-    hbytes = json.dumps(header, sort_keys=True).encode()
+    replacement = mutate(header)  # edits in place, or returns a new header
+    hbytes = json.dumps(header if replacement is None else replacement,
+                        sort_keys=True).encode()
     with open(path, "wb") as f:
         f.write(front)
         f.write(struct.pack("<Q", len(hbytes)))
@@ -483,6 +484,31 @@ def test_checkpoint_rejects_shape_mismatch(tmp_path):
     rewrite_header(path, swap_first_matrix)
     with pytest.raises(ParseError, match="shape"):
         load_checkpoint(path)
+
+
+HEADER_FAULTS = {
+    "not_an_object": lambda h: [],
+    "no_config": lambda h: {k: v for k, v in h.items() if k != "config"},
+    "step_not_an_int": lambda h: h.update(step="7"),
+    "unknown_kind": lambda h: h["arrays"][0].update(kind="bogus"),
+    "bad_dtype": lambda h: h.update(dtype="zz"),
+    "wrong_dtype": lambda h: h.update(dtype="<f4"),
+    "arrays_cut": lambda h: h.update(arrays=h["arrays"][:-3]),
+    "arrays_reordered": lambda h: h.update(arrays=h["arrays"][::-1]),
+    "offset_moved": lambda h: h["arrays"][1].update(offset=h["arrays"][1]["offset"] + 8),
+}
+
+
+@pytest.mark.parametrize("fault", list(HEADER_FAULTS))
+def test_checkpoint_rejects_a_manifest_its_config_would_not_write(tmp_path, capsys, fault):
+    cfg = tiny_config()
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(TrainState.fresh(cfg), cfg, path)
+    rewrite_header(path, HEADER_FAULTS[fault])
+    with pytest.raises(ParseError):
+        load_checkpoint(path)
+    assert main(["eval", "--resume", str(path), "--out", str(tmp_path / "eval")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize("where", ["magic", "version", "length", "header", "payload"])
