@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -89,7 +89,10 @@ def extract_features(params: ModelParams, dataset: Dataset, output_size=None,
     image size the only transform is a bilinear resize. Returns a pair
     ([N, embed_dim] array, [N] label array); the features are independent
     of batch_size because eval-mode batchnorm reads the running buffers.
+    The encoder runs on detached views of the parameters (same buffers),
+    so no batch builds a differentiation graph.
     """
+    frozen = replace(params, tensors={name: t.detach() for name, t in params.named()})
     first = next(iter(params.named()))[1]
     dtype = first.data.dtype
     chunks = []
@@ -102,7 +105,7 @@ def extract_features(params: ModelParams, dataset: Dataset, output_size=None,
                 x = resize_bilinear(x, output_size, output_size)
             imgs.append(x)
         x = np.stack(imgs).astype(dtype)
-        chunks.append(encode(params, x, "eval").data)
+        chunks.append(encode(frozen, x, "eval").data)
     return np.concatenate(chunks, axis=0), dataset.labels()
 
 

@@ -34,8 +34,11 @@ AGG_SLOT = 3  # rng slot for the seeded_random aggregation coin (views use 0..2)
 
 @dataclass(frozen=True)
 class DatasetConfig:
-    """What to train on. kind "synthetic" generates gratings in-process;
-    "cifar10" reads binary batches from `dir`."""
+    """What to train on. kind "synthetic" generates `classes` x `per_class`
+    gratings of side `size` from `seed` in-process; "cifar10" reads every
+    record of the binary batches in `dir`. For "cifar10", `classes`,
+    `per_class`, `size` and `seed` select nothing: only the config hash
+    reads them."""
 
     kind: str = "synthetic"
     classes: int = 3
@@ -407,9 +410,10 @@ def load_checkpoint(path) -> tuple:
             raise ParseError(f"{path}: checkpoint array entry {i} is {have!r}, its config"
                              f" needs {want!r} (kind, name, shape, offset and nbytes)")
     need = sum(entry["nbytes"] for entry, _ in manifest)
-    if len(payload) < need:
-        raise ParseError(f"{path}: truncated payload, the arrays need {need} bytes"
-                         f" but only {len(payload)} are present")
+    if len(payload) != need:
+        fault = "truncated payload" if len(payload) < need else "trailing bytes after the payload"
+        raise ParseError(f"{path}: {fault}, the arrays need {need} bytes"
+                         f" but {len(payload)} are present")
     for entry, dest in manifest:
         raw = payload[entry["offset"]:entry["offset"] + entry["nbytes"]]
         dest[...] = np.frombuffer(raw, dtype=dtype).reshape(dest.shape).astype(dest.dtype)

@@ -276,18 +276,38 @@ def test_conv2d_forward_matches_loop_oracle(stride, padding):
     assert np.allclose(out.data, _conv2d_loops(x, k, stride, padding), atol=1e-12)
 
 
-@pytest.mark.parametrize("seed", RNG_SEEDS[:3])
-@pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1)])
-def test_conv2d_grads(seed, stride, padding):
-    rng = np.random.default_rng(seed)
-    x = _rand(rng, 2, 2, 5, 5)
-    k = _rand(rng, 3, 2, 3, 3)
-    hout = (5 + 2 * padding - 3) // stride + 1
-    w = tensor(_rand(rng, 2, 3, hout, hout))
+CONV_STRIDE_PADDING = [(1, 1), (2, 1), (1, 0), (2, 0)]
+
+
+def _conv2d_grad_gap(rng, xshape, kshape, stride, padding):
+    x = _rand(rng, *xshape)
+    k = _rand(rng, *kshape)
+    out = ad.conv2d(tensor(x), tensor(k), stride=stride, padding=padding)
+    w = tensor(_rand(rng, *out.shape))
 
     def f(xt, kt):
         return (ad.conv2d(xt, kt, stride=stride, padding=padding) * w).sum()
-    assert check_grads(f, [x, k]) < 1
+    return check_grads(f, [x, k])
+
+
+@pytest.mark.parametrize("seed", RNG_SEEDS[:3])
+@pytest.mark.parametrize("stride,padding", CONV_STRIDE_PADDING)
+def test_conv2d_grads(seed, stride, padding):
+    rng = np.random.default_rng(seed)
+    assert _conv2d_grad_gap(rng, (2, 2, 5, 5), (3, 2, 3, 3), stride, padding) < 1
+
+
+@pytest.mark.parametrize("stride,padding", CONV_STRIDE_PADDING)
+@pytest.mark.parametrize("xshape,kshape", [
+    ((2, 2, 6, 5), (3, 2, 3, 3)),
+    ((2, 2, 5, 5), (3, 2, 2, 3)),
+    ((3, 2, 5, 6), (3, 2, 3, 2)),
+], ids=["input6x5", "kernel2x3", "batch3"])
+def test_conv2d_grads_uneven_shapes(xshape, kshape, stride, padding):
+    # non-square inputs and kernels give hout != wout and kh != kw, which
+    # the col2im indexing must keep apart
+    rng = np.random.default_rng(31)
+    assert _conv2d_grad_gap(rng, xshape, kshape, stride, padding) < 1
 
 
 def test_conv2d_rejects_channel_mismatch():
@@ -440,6 +460,38 @@ def test_constant_argument_leaves_other_grads_unchanged(op, constant):
             assert partial[i] is None
         else:
             assert np.array_equal(partial[i], full[i])
+
+
+# Normwise bound for float32 grads against float64 ones at the same
+# inputs: about 840 float32 ulps of the largest gradient entry.
+F32_REL_TOL = 1e-4
+
+# op -> (forward over the argument tensors, argument shapes)
+FLOAT32_OPS = {
+    "conv2d": (lambda x, k: ad.conv2d(x, k, stride=2, padding=1), [(3, 2, 6, 5), (4, 2, 2, 3)]),
+    "batchnorm_train": (lambda x, g, b: ad.batchnorm(x, g, b, np.zeros(4), np.ones(4), "train"),
+                        [(5, 4, 3, 3), (4,), (4,)]),
+    "batchnorm_eval": (lambda x, g, b: ad.batchnorm(x, g, b, np.full(4, 0.3), np.full(4, 2.0),
+                                                    "eval"),
+                       [(5, 4, 3, 3), (4,), (4,)]),
+}
+
+
+@pytest.mark.parametrize("op", list(FLOAT32_OPS))
+def test_float32_grads_keep_dtype_and_match_float64(op):
+    fn, shapes = FLOAT32_OPS[op]
+    rng = np.random.default_rng(29)
+    arrays = [_rand(rng, *shape).astype(np.float32) for shape in shapes]
+    w = _rand(rng, *fn(*map(tensor, arrays)).shape).astype(np.float32)
+
+    def grads(dtype):
+        tensors = [tensor(a, requires_grad=True, dtype=dtype) for a in arrays]
+        (fn(*tensors) * tensor(w, dtype=dtype)).sum().backward()
+        return [t.grad for t in tensors]
+
+    for g32, g64 in zip(grads(np.float32), grads(np.float64)):
+        assert g32.dtype == np.float32 and g64.dtype == np.float64
+        assert np.max(np.abs(g32 - g64)) <= F32_REL_TOL * np.max(np.abs(g64))
 
 
 def test_dtype_mismatch_raises():

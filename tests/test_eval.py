@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import tiny_config
+from mixsiam import eval as eval_module
 from mixsiam.data import SyntheticConfig, make_synthetic
 from mixsiam.errors import ConfigError, ShapeError
 from mixsiam.eval import (
@@ -26,7 +27,7 @@ from mixsiam.eval import (
     write_per_class_csv,
     write_report,
 )
-from mixsiam.model import EncoderSpec, PredictorSpec, init
+from mixsiam.model import EncoderSpec, PredictorSpec, encode, init
 from mixsiam.train import DatasetConfig, config_from_dict
 
 
@@ -201,6 +202,22 @@ def test_extract_features_independent_of_batch_size():
     a, _ = extract_features(params, ds, output_size=8, batch_size=3)
     b, _ = extract_features(params, ds, output_size=8, batch_size=128)
     assert np.array_equal(a, b)
+
+
+def test_extract_features_builds_no_graph(monkeypatch):
+    ds = make_synthetic(SyntheticConfig(classes=2, per_class=4, size=8, seed=5))
+    params = init(EncoderSpec.tiny(), PredictorSpec.tiny(), seed=1, dtype=np.float32)
+    outputs = []
+
+    def recording_encode(*args):
+        outputs.append(encode(*args))
+        return outputs[-1]
+    monkeypatch.setattr(eval_module, "encode", recording_encode)
+    feats, _ = extract_features(params, ds, output_size=8)
+    assert outputs and not any(z.requires_grad or z._parents for z in outputs)
+    x = np.stack([r.pixels for r in ds.records]).astype(np.float32)
+    assert feats.tobytes() == encode(params, x, "eval").data.tobytes()
+    assert all(t.requires_grad and t.grad is None for _, t in params.named())
 
 
 def test_extract_features_resizes_when_needed():

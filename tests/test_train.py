@@ -527,6 +527,17 @@ def test_checkpoint_rejects_truncated_payload(tmp_path, capsys, where):
     assert "truncated" in capsys.readouterr().err
 
 
+def test_checkpoint_rejects_trailing_bytes(tmp_path, capsys):
+    cfg = tiny_config()
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(TrainState.fresh(cfg), cfg, path)
+    path.write_bytes(path.read_bytes() + b"\0" * 1000)
+    with pytest.raises(ParseError, match="trailing bytes"):
+        load_checkpoint(path)
+    assert main(["eval", "--resume", str(path), "--out", str(tmp_path / "eval")]) == 2
+    assert "trailing bytes" in capsys.readouterr().err
+
+
 def test_checkpoint_rejects_corrupt_header(tmp_path, capsys):
     cfg = tiny_config()
     path = tmp_path / "ckpt.bin"
