@@ -140,20 +140,25 @@ class Graph:
 
 
 def backward(loss):
-    """Populate `grad` on every requires-grad tensor reachable from `loss`.
+    """Populate `grad` on every requires-grad leaf reachable from `loss`.
 
-    Repeated calls without clearing grads accumulate.
+    One reverse sweep: every consumer of a node comes before it in
+    reverse topological order, so a node's gradient is complete when the
+    sweep reaches it and is dropped once passed on to its parents. Only
+    leaves (tensors without a backward rule) receive `.grad`; repeated
+    calls without clearing grads accumulate onto it.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.data.shape}")
     if not loss.requires_grad:
         return
-    grads = {}
-    grads[id(loss)] = np.ones_like(loss.data)
-    graph = Graph(loss)
-    for node in reversed(graph.nodes):
-        g = grads.get(id(node))
-        if g is None or node._backward_fn is None:
+    grads = {id(loss): np.ones_like(loss.data)}
+    for node in reversed(Graph(loss).nodes):
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        if node._backward_fn is None:
+            node.grad = g if node.grad is None else node.grad + g
             continue
         for parent, pg in zip(node._parents, node._backward_fn(g)):
             if pg is None or not parent.requires_grad:
@@ -163,14 +168,6 @@ def backward(loss):
                 grads[key] += pg
             else:  # copy: a rule may return a view of `g` or a broadcast
                 grads[key] = np.array(pg, dtype=parent.data.dtype, copy=True)
-    for node in graph.nodes:
-        g = grads.get(id(node))
-        if g is None:
-            continue
-        if node.grad is None:
-            node.grad = g
-        else:
-            node.grad = node.grad + g
 
 
 # -- elementwise ------------------------------------------------------

@@ -31,7 +31,7 @@ from .eval import (
     write_per_class_csv,
     write_report,
 )
-from .loss import AggregationStrategy
+from .loss import AGGREGATION_KINDS, AggregationStrategy
 from .train import (
     TrainConfig,
     config_from_dict,
@@ -40,7 +40,6 @@ from .train import (
     run,
 )
 
-AGGREGATION_VARIANTS = ("maximum", "average", "none")
 MIXTURE_VARIANTS = ("mixture", "no_mixture")
 
 # Reported accuracies from the original CIFAR-10 experiments, carried in
@@ -53,17 +52,17 @@ REFERENCE_LAMBDA_ZERO = 23.76
 @dataclass(frozen=True)
 class AblationGrid:
     base: TrainConfig = TrainConfig()
-    aggregations: tuple = AGGREGATION_VARIANTS
+    aggregations: tuple = AGGREGATION_KINDS
     mixtures: tuple = MIXTURE_VARIANTS
     repeats: int = 1
 
     def __post_init__(self):
         if not self.aggregations:
             raise ConfigError("ablation grid needs at least one aggregation")
-        bad = [a for a in self.aggregations if a not in AGGREGATION_VARIANTS]
+        bad = [a for a in self.aggregations if a not in AGGREGATION_KINDS]
         if bad:
             raise ConfigError(
-                f"unknown aggregation variant(s) {bad}; choose from {AGGREGATION_VARIANTS}")
+                f"unknown aggregation variant(s) {bad}; choose from {AGGREGATION_KINDS}")
         if not self.mixtures:
             raise ConfigError("ablation grid needs at least one mixture variant")
         bad = [m for m in self.mixtures if m not in MIXTURE_VARIANTS]
@@ -473,7 +472,7 @@ def main(argv=None) -> int:
     except TrainingAborted as e:
         print(f"training aborted: {e}", file=sys.stderr)
         return 1
-    except OSError as e:
+    except (OSError, RuntimeError) as e:  # I/O, or evaluation moved the frozen encoder
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -17,6 +17,13 @@ from .errors import ConfigError, ParseError
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 3 * 1024 pixel bytes
 CIFAR_TRAIN_FILES = tuple(f"data_batch_{i}.bin" for i in range(1, 6))
 CIFAR_TEST_FILES = ("test_batch.bin",)
+CIFAR_CLASSES = 10
+
+# synthetic gratings: cycles across the image (shared by all classes), the
+# per-sample phase jitter in radians (uniform in [-j, +j]) and pixel noise
+SYNTHETIC_FREQUENCY = 3.0
+SYNTHETIC_PHASE_JITTER = 0.6
+SYNTHETIC_NOISE_SIGMA = 0.02
 
 
 @dataclass(frozen=True)
@@ -59,7 +66,7 @@ class Dataset:
         return np.array([r.label for r in self.records], dtype=np.int64)
 
 
-def _parse_cifar_file(path, class_count=10, start_index=0):
+def _parse_cifar_file(path, start_index=0):
     try:
         with open(path, "rb") as f:
             raw = f.read()
@@ -72,11 +79,11 @@ def _parse_cifar_file(path, class_count=10, start_index=0):
             f" ({extra} trailing bytes, need {CIFAR_RECORD_BYTES})")
     arr = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
     labels = arr[:, 0]
-    bad = np.nonzero(labels >= class_count)[0]
+    bad = np.nonzero(labels >= CIFAR_CLASSES)[0]
     if bad.size:
         i = int(bad[0])
         raise ParseError(
-            f"{path}: label byte {labels[i]} > {class_count - 1}"
+            f"{path}: label byte {labels[i]} > {CIFAR_CLASSES - 1}"
             f" at byte offset {i * CIFAR_RECORD_BYTES}")
     pixels = arr[:, 1:].reshape(-1, 3, 32, 32) / 255.0
     return [
@@ -103,7 +110,7 @@ def load_cifar10(dir_path, split="train", files=None):
     for name in files:
         records.extend(_parse_cifar_file(os.path.join(dir_path, name),
                                          start_index=len(records)))
-    return Dataset(records=records, class_count=10, name=f"cifar10-{split}")
+    return Dataset(records=records, class_count=CIFAR_CLASSES, name=f"cifar10-{split}")
 
 
 def write_cifar10_batch(records, path):
@@ -128,9 +135,6 @@ class SyntheticConfig:
     per_class: int = 100
     size: int = 32
     seed: int = 0
-    frequency: float = 3.0       # cycles across the image, shared by all classes
-    phase_jitter: float = 0.6    # radians, uniform in [-j, +j] per sample
-    noise_sigma: float = 0.02
 
     def __post_init__(self):
         if self.classes < 2:
@@ -154,12 +158,12 @@ def make_synthetic(cfg: SyntheticConfig) -> Dataset:
         theta = np.pi * c / cfg.classes
         axis = xx * np.cos(theta) + yy * np.sin(theta)
         for _ in range(cfg.per_class):
-            phase = rng.uniform(-cfg.phase_jitter, cfg.phase_jitter)
+            phase = rng.uniform(-SYNTHETIC_PHASE_JITTER, SYNTHETIC_PHASE_JITTER)
             contrast = rng.uniform(0.55, 0.95)
             gains = rng.uniform(0.75, 1.0, size=3)
-            wave = np.sin(2.0 * np.pi * cfg.frequency * axis + phase)
+            wave = np.sin(2.0 * np.pi * SYNTHETIC_FREQUENCY * axis + phase)
             img = 0.5 + 0.5 * contrast * gains[:, None, None] * wave[None]
-            img = img + rng.normal(0.0, cfg.noise_sigma, size=img.shape)
+            img = img + rng.normal(0.0, SYNTHETIC_NOISE_SIGMA, size=img.shape)
             np.clip(img, 0.0, 1.0, out=img)
             records.append(ImageRecord(pixels=img, label=c, source_index=idx))
             idx += 1

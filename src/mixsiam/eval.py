@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .augment import resize_bilinear
 from .autodiff import Tensor
-from .data import Dataset, SyntheticConfig, make_synthetic
+from .data import Dataset, SyntheticConfig, load_cifar10, make_synthetic
 from .errors import ConfigError, ShapeError, TrainingAborted
 from .model import ModelParams, encode, init
 from .train import (
@@ -138,8 +138,9 @@ def knn_predict(train_feats, train_labels, test_feats, k=20, class_count=None):
         raise ConfigError(f"knn: k={k} outside [1, {tn.shape[0]}]")
     classes = int(class_count) if class_count else int(labels.max()) + 1
 
-    sims = qn @ tn.T
-    order = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+    # negating tn, not the [N_test, N_train] product, keeps one matrix-sized
+    # temporary out of the evaluate memory peak; the order is bitwise the same
+    order = np.argsort(qn @ -tn.T, axis=1, kind="stable")[:, :k]
     votes = labels[order]
     preds = np.empty(qn.shape[0], dtype=np.int64)
     for i in range(qn.shape[0]):
@@ -214,16 +215,13 @@ def eval_datasets(dataset_cfg: DatasetConfig):
     Synthetic data holds out a fresh half-sized draw under a shifted seed;
     cifar10 uses the file-level train/test split.
     """
+    train = dataset_cfg.build()
     if dataset_cfg.kind == "synthetic":
-        train = dataset_cfg.build()
-        test = make_synthetic(SyntheticConfig(
+        return train, make_synthetic(SyntheticConfig(
             classes=dataset_cfg.classes,
             per_class=max(1, dataset_cfg.per_class // 2),
             size=dataset_cfg.size, seed=dataset_cfg.seed + 1))
-        return train, test
-    from .data import load_cifar10
-    return (load_cifar10(dataset_cfg.dir, split="train"),
-            load_cifar10(dataset_cfg.dir, split="test"))
+    return train, load_cifar10(dataset_cfg.dir, split="test")
 
 
 def evaluate(params: ModelParams, cfg: TrainConfig, train_ds: Dataset,

@@ -17,6 +17,8 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
 
+IN_CHANNELS = 3  # every dataset is RGB, and color jitter and grayscale need 3
+
 
 @dataclass(frozen=True)
 class ConvStage:
@@ -34,23 +36,19 @@ class ConvStage:
 @dataclass(frozen=True)
 class EncoderSpec:
     """Backbone stages (3x3 convs, BN, ReLU, stride-2 downsamples, global
-    average pool) followed by a 3-layer projection MLP ending at embed_dim.
-    The last projector layer carries batch-norm but no nonlinearity."""
+    average pool) on RGB input, followed by a 3-layer projection MLP whose
+    last width is the embedding width. The last projector layer carries
+    batch-norm but no nonlinearity."""
 
     stages: tuple = (ConvStage(32), ConvStage(64, 2), ConvStage(128, 2), ConvStage(256, 2))
     projector: tuple = (256, 256, 256)
-    embed_dim: int = 256
-    in_channels: int = 3
 
     def __post_init__(self):
         if not self.stages:
             raise ConfigError("encoder needs at least one conv stage")
         if len(self.projector) != 3:
             raise ConfigError(f"projector must list exactly 3 layer widths, got {self.projector}")
-        if self.projector[-1] != self.embed_dim:
-            raise ConfigError(
-                f"projector must end at embed_dim ({self.embed_dim}), got {self.projector}")
-        if any(w < 1 for w in self.projector) or self.embed_dim < 1:
+        if any(w < 1 for w in self.projector):
             raise ConfigError(f"projector widths must be positive, got {self.projector}")
         prev = self.stages[0].channels
         for st in self.stages[1:]:
@@ -59,40 +57,45 @@ class EncoderSpec:
                     f"residual stage must keep width {prev}, got {st.channels}")
             prev = st.channels
 
+    @property
+    def embed_dim(self) -> int:
+        """Width of z, shared by every branch and the predictor output."""
+        return self.projector[-1]
+
     @classmethod
     def small(cls):
         """Desk preset sized so collapse diagnostics stay informative:
         mean per-dimension std of unit-norm embeddings is bounded by
         1/sqrt(embed_dim), so a >0.1 healthy regime needs embed_dim < 100."""
         return cls(stages=(ConvStage(16), ConvStage(32, 2), ConvStage(64, 2)),
-                   projector=(32, 32, 32), embed_dim=32)
+                   projector=(32, 32, 32))
 
     @classmethod
     def tiny(cls):
         """Gradient-check scale: every finite-difference probe stays cheap."""
         return cls(stages=(ConvStage(4, 2), ConvStage(8, 2)),
-                   projector=(8, 8, 8), embed_dim=8)
+                   projector=(8, 8, 8))
 
 
 @dataclass(frozen=True)
 class PredictorSpec:
-    """Two linear layers embed -> hidden -> embed; batch-norm and ReLU on
-    the hidden layer only, output layer bare (bias, no BN, no ReLU)."""
+    """Two linear layers embed -> hidden -> embed, where embed is the
+    encoder's embedding width; batch-norm and ReLU on the hidden layer only,
+    output layer bare (bias, no BN, no ReLU)."""
 
     hidden_dim: int = 64
-    embed_dim: int = 256
 
     def __post_init__(self):
-        if self.hidden_dim < 1 or self.embed_dim < 1:
-            raise ConfigError(f"predictor dims must be positive, got {self}")
+        if self.hidden_dim < 1:
+            raise ConfigError(f"predictor hidden_dim must be positive, got {self.hidden_dim}")
 
     @classmethod
     def small(cls):
-        return cls(hidden_dim=8, embed_dim=32)
+        return cls(hidden_dim=8)
 
     @classmethod
     def tiny(cls):
-        return cls(hidden_dim=2, embed_dim=8)
+        return cls(hidden_dim=2)
 
 
 @dataclass
@@ -118,9 +121,6 @@ def init(encoder: EncoderSpec, predictor: PredictorSpec, seed: int, dtype=np.flo
     Weights ~ U(-1/sqrt(fan_in), +1/sqrt(fan_in)); biases and batch-norm
     beta start at zero, gamma at one.
     """
-    if predictor.embed_dim != encoder.embed_dim:
-        raise ConfigError(
-            f"predictor embed_dim {predictor.embed_dim} != encoder embed_dim {encoder.embed_dim}")
     dtype = np.dtype(dtype)
     rng = np.random.default_rng(seed)
     tensors = {}
@@ -134,7 +134,7 @@ def init(encoder: EncoderSpec, predictor: PredictorSpec, seed: int, dtype=np.flo
         running[f"{prefix}.bn.mean"] = np.zeros(width, dtype=dtype)
         running[f"{prefix}.bn.var"] = np.ones(width, dtype=dtype)
 
-    cin = encoder.in_channels
+    cin = IN_CHANNELS
     for i, stage in enumerate(encoder.stages):
         shape = (stage.channels, cin, 3, 3)
         tensors[f"backbone.{i}.conv.w"] = Tensor(
@@ -149,15 +149,13 @@ def init(encoder: EncoderSpec, predictor: PredictorSpec, seed: int, dtype=np.flo
         bn(f"projector.{j}", out)
         width = out
 
+    embed, hidden = encoder.embed_dim, predictor.hidden_dim
     tensors["predictor.0.w"] = Tensor(
-        _uniform(rng, (predictor.embed_dim, predictor.hidden_dim), predictor.embed_dim, dtype),
-        requires_grad=True)
-    bn("predictor.0", predictor.hidden_dim)
+        _uniform(rng, (embed, hidden), embed, dtype), requires_grad=True)
+    bn("predictor.0", hidden)
     tensors["predictor.1.w"] = Tensor(
-        _uniform(rng, (predictor.hidden_dim, predictor.embed_dim), predictor.hidden_dim, dtype),
-        requires_grad=True)
-    tensors["predictor.1.b"] = Tensor(
-        np.zeros(predictor.embed_dim, dtype=dtype), requires_grad=True)
+        _uniform(rng, (hidden, embed), hidden, dtype), requires_grad=True)
+    tensors["predictor.1.b"] = Tensor(np.zeros(embed, dtype=dtype), requires_grad=True)
     no_decay.add("predictor.1.b")
 
     return ModelParams(tensors=tensors, running=running, no_decay=frozenset(no_decay),

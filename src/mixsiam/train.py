@@ -94,10 +94,6 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.precision not in (32, 64):
             raise ConfigError(f"precision must be 32 or 64, got {self.precision}")
-        if self.encoder.embed_dim != self.predictor.embed_dim:
-            raise ConfigError(
-                f"encoder embed_dim {self.encoder.embed_dim} != predictor"
-                f" embed_dim {self.predictor.embed_dim}")
 
     @property
     def dtype(self):
@@ -444,15 +440,13 @@ def _drop_rows_from(mpath, step):
         f.writelines(kept)
 
 
-def run(cfg: TrainConfig, dataset: Dataset, out_dir, resume=None,
-        allow_config_mismatch=False, on_metrics=None):
+def run(cfg: TrainConfig, dataset: Dataset, out_dir, resume=None, on_metrics=None):
     """Train for cfg.epochs over `dataset`, writing per-epoch checkpoints
     and appending one metrics row per step.
 
     `resume` names a checkpoint written by a run with the same config
-    hash (override with allow_config_mismatch). Resumption happens at an
-    epoch boundary and replays the remaining epochs exactly as the
-    uninterrupted run would have. Resuming into the directory of the
+    hash. Resumption happens at an epoch boundary and replays the
+    remaining epochs exactly as the uninterrupted run would have. Resuming into the directory of the
     original run first drops its metrics rows from the checkpoint's step on.
     """
     os.makedirs(out_dir, exist_ok=True)
@@ -467,10 +461,9 @@ def run(cfg: TrainConfig, dataset: Dataset, out_dir, resume=None,
     mpath = metrics_path(out_dir)
     if resume is not None:
         state, ckpt_cfg = load_checkpoint(resume)
-        if config_hash(ckpt_cfg) != config_hash(cfg) and not allow_config_mismatch:
-            raise ConfigError(
-                f"resume config hash {config_hash(ckpt_cfg)} does not match"
-                f" current {config_hash(cfg)} (pass the override to force)")
+        if config_hash(ckpt_cfg) != config_hash(cfg):
+            raise ConfigError(f"resume config hash {config_hash(ckpt_cfg)} does not match"
+                              f" current {config_hash(cfg)}")
         mode = "a" if os.path.exists(mpath) else "w"
         if mode == "a":
             _drop_rows_from(mpath, state.step)

@@ -381,6 +381,21 @@ def test_repeated_backward_accumulates():
     assert np.array_equal(x.grad, 2 * first)
 
 
+def test_backward_writes_grad_on_leaves_only():
+    x = tensor(np.array([1.0, 2.0]), requires_grad=True)
+    w = tensor(np.array([3.0, -1.0]), requires_grad=True)
+    y = x * w
+    z = y + x
+    loss = (z * y).sum()
+    loss.backward()
+    assert y.grad is None and z.grad is None and loss.grad is None
+    # d/dx (xw + x) xw = (w + 1) xw + (xw + x) w;  d/dw = (xw + x) x + x xw
+    assert np.array_equal(x.grad, (w.data + 1) * x.data * w.data
+                          + (x.data * w.data + x.data) * w.data)
+    assert np.array_equal(w.grad, (x.data * w.data + x.data) * x.data
+                          + x.data * x.data * w.data)
+
+
 def test_backward_requires_scalar():
     x = tensor(np.zeros((2, 2)), requires_grad=True)
     with pytest.raises(ShapeError, match="scalar"):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import mixsiam.cli as cli
+import mixsiam.eval as eval_module
 from conftest import tiny_config as shared_tiny_config
 from mixsiam.augment import identity_config, make_triplet
 from mixsiam.cli import (
@@ -160,6 +161,19 @@ def test_runtime_failure_maps_to_exit_1(tmp_path, monkeypatch, capsys):
     assert "training aborted" in capsys.readouterr().err
 
 
+def test_eval_that_mutates_the_encoder_exits_1(tmp_path, monkeypatch, capsys):
+    cpath = write_config(tmp_path, tiny_config())
+    assert main(["train", "--config", cpath, "--out", str(tmp_path / "train")]) == 0
+    digests = iter(range(100))
+    monkeypatch.setattr(eval_module, "params_checksum", lambda params: str(next(digests)))
+    capsys.readouterr()
+    assert main(["eval", "--resume", str(tmp_path / "train" / "ckpt_final.bin"),
+                 "--out", str(tmp_path / "eval")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith("error: ") and "mutated" in err
+
+
 def test_usage_errors_exit_2(tmp_path):
     assert main([]) == 2
     assert main(["no-such-command"]) == 2
@@ -194,6 +208,15 @@ def test_removed_config_keys_are_rejected(tmp_path, capsys):
     payload["dataset"]["split"] = "train"
     with pytest.raises(ConfigError, match=r"config\.dataset: unknown field\(s\) \['split'\]"):
         config_from_dict(payload)
+    payload["dataset"].pop("split")
+    # the embedding width is the last projector entry, and input is RGB
+    for block, key, value in [("encoder", "embed_dim", 32), ("encoder", "in_channels", 3),
+                              ("predictor", "embed_dim", 32)]:
+        old = json.loads(json.dumps(payload))
+        old[block][key] = value
+        cpath.write_text(json.dumps(old))
+        assert main(["train", "--config", str(cpath), "--out", str(tmp_path / "o")]) == 2
+        assert f"config.{block}: unknown field(s) ['{key}']" in capsys.readouterr().err
 
 
 # -- ablation grid -----------------------------------------------------------

@@ -290,6 +290,11 @@ def test_report_files(tmp_path):
     assert float(knn_acc) == report.per_class_accuracy[0]["knn"]
 
 
+def test_eval_datasets_cifar10_requires_a_dir():
+    with pytest.raises(ConfigError, match="dir"):
+        eval_datasets(DatasetConfig(kind="cifar10"))
+
+
 def test_eval_datasets_synthetic_holdout():
     dcfg = DatasetConfig(classes=2, per_class=6, size=8, seed=5)
     train, test = eval_datasets(dcfg)

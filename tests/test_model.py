@@ -33,7 +33,7 @@ def test_default_spec_keeps_4to1_embed_predictor_ratio():
 @pytest.mark.parametrize("kwargs", [
     {"projector": (64, 64)},
     {"projector": (64, 64, 64, 64)},
-    {"projector": (64, 64, 32), "embed_dim": 64},
+    {"projector": (64, 64, 0)},
     {"stages": ()},
 ])
 def test_invalid_encoder_spec(kwargs):
@@ -50,12 +50,16 @@ def test_invalid_stage_and_predictor():
         PredictorSpec(hidden_dim=0)
     with pytest.raises(ConfigError):
         EncoderSpec(stages=(ConvStage(8), ConvStage(16, 1, residual=True)),
-                    projector=(16, 16, 16), embed_dim=16)
+                    projector=(16, 16, 16))
 
 
-def test_init_rejects_embed_mismatch():
-    with pytest.raises(ConfigError, match="embed_dim"):
-        init(EncoderSpec.tiny(), PredictorSpec(hidden_dim=2, embed_dim=16), seed=0)
+def test_embed_dim_is_the_last_projector_width():
+    enc = EncoderSpec(projector=(8, 8, 16))
+    assert enc.embed_dim == 16
+    params = init(enc, PredictorSpec.tiny(), seed=0)
+    assert params.tensors["predictor.0.w"].shape == (16, 2)
+    assert params.tensors["predictor.1.w"].shape == (2, 16)
+    assert params.tensors["predictor.1.b"].shape == (16,)
 
 
 # -- initialization ------------------------------------------------------
@@ -164,7 +168,7 @@ def test_predict_shape_and_determinism():
 
 def test_residual_stage_forward():
     spec = EncoderSpec(stages=(ConvStage(8), ConvStage(8, 1, residual=True)),
-                       projector=(8, 8, 8), embed_dim=8)
+                       projector=(8, 8, 8))
     params = init(spec, PredictorSpec.tiny(), seed=0)
     z = encode(params, _images(np.random.default_rng(6), 2), "train")
     assert z.shape == (2, 8)

@@ -183,8 +183,6 @@ def test_train_config_validation():
         tiny_config(batch_size=1)
     with pytest.raises(ConfigError, match="precision"):
         tiny_config(precision=16)
-    with pytest.raises(ConfigError, match="embed_dim"):
-        tiny_config(predictor=PredictorSpec.small())
     assert tiny_config().dtype is np.float64
     assert tiny_config(precision=32).dtype is np.float32
 
@@ -679,10 +677,6 @@ def test_resume_rejects_config_hash_mismatch(tmp_path):
     changed = dataclasses.replace(cfg, lam=0.25, epochs=3)
     with pytest.raises(ConfigError, match="config hash"):
         run(changed, ds, tmp_path / "second", resume=checkpoint_path(first, 2))
-    # the override allows a deliberate mismatch (e.g. schedule extension)
-    state = run(changed, ds, tmp_path / "third",
-                resume=checkpoint_path(first, 2), allow_config_mismatch=True)
-    assert state.epoch == 3
 
 
 # -- lam=1 against an independent two-view reference loop -------------------
