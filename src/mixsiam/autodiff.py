@@ -16,7 +16,6 @@ that accumulates them onto the parents.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError
 
@@ -115,28 +114,27 @@ def _as_pair(a, b, op):
     return a.data.dtype.type(b), True
 
 
-class Graph:
-    """Ordered record of the ops reachable from a root, parents first.
+def Graph(root):
+    """The ops reachable from `root` that carry gradient, parents first.
 
-    Recording order is a valid forward order; one backward sweep over
-    `reversed(nodes)` visits each node exactly once.
+    Recording order is a valid forward order; one backward sweep over the
+    reversed list visits each node exactly once.
     """
-
-    def __init__(self, root):
-        self.nodes = []
-        seen = set()
-        stack = [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                self.nodes.append(node)
-                continue
-            if id(node) in seen or not node.requires_grad:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                stack.append((parent, False))
+    nodes = []
+    seen = set()
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            nodes.append(node)
+            continue
+        if id(node) in seen or not node.requires_grad:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            stack.append((parent, False))
+    return nodes
 
 
 def backward(loss):
@@ -153,7 +151,7 @@ def backward(loss):
     if not loss.requires_grad:
         return
     grads = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(Graph(loss).nodes):
+    for node in reversed(Graph(loss)):
         g = grads.pop(id(node), None)
         if g is None:
             continue
@@ -206,8 +204,24 @@ def maximum(a, b):
 
 
 def relu(a):
+    """max(a, 0); NaN propagates, and -0.0 maps to +0.0 as with `where`.
+
+    Backward is branch-free: it multiplies the bits of `g`, as unsigned
+    integers, by the 0/1 mask kept from forward, into a buffer laid out
+    like `g`. That is the layout (and the bits) `np.where(mask, g, 0)`
+    gives, which the batchnorm-backward sums downstream depend on.
+    """
+    out = np.maximum(a.data, 0)
+    if not a.requires_grad:  # no backward will run, so no mask
+        return _result(out, (a,), None, "relu")
     mask = a.data > 0
-    return _result(np.where(mask, a.data, 0), (a,), lambda g: (np.where(mask, g, 0),), "relu")
+    bits = np.dtype(f"u{a.data.dtype.itemsize}")
+
+    def bw(g):
+        dx = np.empty_like(g)
+        np.multiply(g.view(bits), mask, out=dx.view(bits))
+        return (dx,)
+    return _result(out, (a,), bw, "relu")
 
 
 def detach(a):
@@ -338,9 +352,14 @@ def batchnorm(x, gamma, beta, running_mean, running_var, mode,
 def conv2d(x, k, stride=1, padding=0):
     """Cross-correlate [B, C, H, W] with kernels [K, C, kh, kw].
 
-    Forward runs as an im2col matmul; backward is two GEMMs (the kernel
-    grad against the saved columns, the column grads against the kernel)
-    plus a col2im scatter back through the same window layout.
+    Forward runs as an im2col matmul. The columns are built channel-major,
+    [C, kh, kw, B, hout, wout], by kh*kw strided slice copies; the GEMM
+    reads them through the per-sample [B, N, C*kh*kw] view, so the output
+    has the [B, N, K] memory layout of a row-per-window im2col, and its
+    bits wherever BLAS packs both operand layouts alike. Backward is two
+    GEMMs (the kernel grad against the saved columns as one [C*kh*kw, B*N]
+    operand, the column grads against the kernel) plus a col2im scatter
+    back through the same window layout.
     """
     if x.data.ndim != 4 or k.data.ndim != 4 or x.data.shape[1] != k.data.shape[1]:
         raise ShapeError(f"conv2d: shapes {x.data.shape} and {k.data.shape} incompatible")
@@ -357,17 +376,22 @@ def conv2d(x, k, stride=1, padding=0):
         xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     else:
         xp = x.data
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    # [B, C, hout, wout, kh, kw] -> [B, hout*wout, C*kh*kw]
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(bsz, hout * wout, -1)
+    xt = xp.transpose(1, 0, 2, 3)
+    cols = np.empty((cin, kh, kw, bsz, hout, wout), dtype=x.data.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i, j] = xt[:, :, i:i + stride * (hout - 1) + 1:stride,
+                               j:j + stride * (wout - 1) + 1:stride]
+    cols = cols.reshape(-1, bsz * hout * wout)  # [C*kh*kw, B*N]
     kmat = k.data.reshape(kout, -1)
-    out = (cols @ kmat.T).transpose(0, 2, 1).reshape(bsz, kout, hout, wout)
+    out = (cols.reshape(-1, bsz, hout * wout).transpose(1, 2, 0) @ kmat.T
+           ).transpose(0, 2, 1).reshape(bsz, kout, hout, wout)
 
     def bw(g):
         dxp = dk = None
         if k.requires_grad:  # [K, B*N] @ [B*N, C*kh*kw]
             gk = g.reshape(bsz, kout, -1).transpose(1, 0, 2).reshape(kout, -1)
-            dk = (gk @ cols.reshape(-1, cols.shape[-1])).reshape(k.data.shape)
+            dk = (gk @ cols.T).reshape(k.data.shape)
         if x.requires_grad:
             # [C*kh*kw, K] @ [B, K, N] is already [B, C, kh, kw, hout, wout]
             dcols = (kmat.T @ g.reshape(bsz, kout, hout * wout)).reshape(

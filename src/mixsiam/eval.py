@@ -111,6 +111,8 @@ def extract_features(params: ModelParams, dataset: Dataset, output_size=None,
 
 # -- k-NN probe --------------------------------------------------------------
 
+KNN_CHUNK = 256  # query rows ranked per similarity block
+
 
 def _normalized(feats, name):
     f = np.asarray(feats, dtype=np.float64)
@@ -138,14 +140,20 @@ def knn_predict(train_feats, train_labels, test_feats, k=20, class_count=None):
         raise ConfigError(f"knn: k={k} outside [1, {tn.shape[0]}]")
     classes = int(class_count) if class_count else int(labels.max()) + 1
 
-    # negating tn, not the [N_test, N_train] product, keeps one matrix-sized
-    # temporary out of the evaluate memory peak; the order is bitwise the same
-    order = np.argsort(qn @ -tn.T, axis=1, kind="stable")[:, :k]
-    votes = labels[order]
-    preds = np.empty(qn.shape[0], dtype=np.int64)
-    for i in range(qn.shape[0]):
-        counts = np.bincount(votes[i], minlength=classes)
-        preds[i] = np.argmax(counts)  # first maximum = smallest class id
+    # Queries are ranked KNN_CHUNK rows at a time, so the similarity matrix
+    # and its argsort stay [KNN_CHUNK, N_train] instead of [N_test, N_train];
+    # a GEMM row has the same bits whatever the row count. A one-row product
+    # runs as a GEMV, which rounds differently, so a one-row tail joins the
+    # chunk before it. Negating tn rather than the product is exact.
+    n = qn.shape[0]
+    starts = [s for s in range(0, n, KNN_CHUNK) if s == 0 or n - s > 1]
+    neg_tn_t = -tn.T
+    preds = np.empty(n, dtype=np.int64)
+    for start, stop in zip(starts, starts[1:] + [n]):
+        order = np.argsort(qn[start:stop] @ neg_tn_t, axis=1, kind="stable")
+        for i, votes in enumerate(labels[order[:, :k]], start):
+            counts = np.bincount(votes, minlength=classes)
+            preds[i] = np.argmax(counts)  # first maximum = smallest class id
     return preds
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import check_grads, grad_gap, numeric_grad
 from mixsiam import autodiff as ad
@@ -56,6 +57,41 @@ def test_relu_and_maximum_grads(seed):
     b = np.where(np.abs(a - b) < 0.05, b + 0.1, b)
     assert check_grads(lambda x: x.relu().sum(), [a]) < 1
     assert check_grads(lambda x, y: ad.maximum(x, y).sum(), [a, b]) < 1
+
+
+def _channels_last(a):
+    """`a`'s values as a [B, C, H, W] view of a [B, H, W, C] buffer, the
+    layout conv2d gives batchnorm and relu."""
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_is_bitwise_where(dtype):
+    # the np.where kernel relu replaced is the reference: same bits (signed
+    # zeros, and NaN/inf in g, included) and, in backward, the strides of
+    # its result for a channels-last mask and a C-order g
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((4, 5, 6, 3)).astype(dtype)
+    a.reshape(-1)[:4] = [-0.0, 0.0, -np.inf, np.inf]
+    a = _channels_last(a)
+    g = rng.standard_normal(a.shape).astype(dtype)
+    g.reshape(-1)[:6] = [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf]
+    g.reshape(-1)[-20:] = np.nan
+    x = tensor(a, requires_grad=True)
+    out = ad.relu(x)
+    want = np.where(a > 0, a, 0)
+    assert out.data.tobytes() == want.tobytes() and out.data.strides == want.strides
+    (dx,) = out._backward_fn(g)
+    want = np.where(a > 0, g, 0)
+    assert dx.dtype == want.dtype
+    assert dx.tobytes() == want.tobytes() and dx.strides == want.strides
+
+
+def test_relu_propagates_nan():
+    a = np.array([[np.nan, -1.0, 2.0, -np.nan]])
+    for requires_grad in (False, True):
+        out = ad.relu(tensor(a, requires_grad=requires_grad)).data
+        assert np.isnan(out[0, [0, 3]]).all() and out[0, 1:3].tolist() == [0.0, 2.0]
 
 
 def test_maximum_tie_sends_grad_to_first_argument():
@@ -310,6 +346,63 @@ def test_conv2d_grads_uneven_shapes(xshape, kshape, stride, padding):
     assert _conv2d_grad_gap(rng, xshape, kshape, stride, padding) < 1
 
 
+def _conv2d_sliding_window(x, k, g, stride, padding):
+    """The row-per-window im2col kernel that conv2d replaced, kept as its
+    bitwise reference: forward output, then dx and dk for upstream `g`."""
+    bsz, cin, h, w = x.shape
+    kout, _, kh, kw = k.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    _, _, hout, wout, _, _ = win.shape
+    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(bsz, hout * wout, -1)
+    kmat = k.reshape(kout, -1)
+    out = (cols @ kmat.T).transpose(0, 2, 1).reshape(bsz, kout, hout, wout)
+    gk = g.reshape(bsz, kout, -1).transpose(1, 0, 2).reshape(kout, -1)
+    dk = (gk @ cols.reshape(-1, cols.shape[-1])).reshape(k.shape)
+    dcols = (kmat.T @ g.reshape(bsz, kout, hout * wout)).reshape(bsz, cin, kh, kw, hout, wout)
+    dxp = np.zeros(xp.shape, dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, :, i:i + stride * (hout - 1) + 1:stride,
+                j:j + stride * (wout - 1) + 1:stride] += dcols[:, :, i, j]
+    return out, dxp[:, :, padding:padding + h, padding:padding + w], dk
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("stride,padding", CONV_STRIDE_PADDING)
+@pytest.mark.parametrize("layout", ["c_order", "channels_last"])
+@pytest.mark.parametrize("xshape,kshape,bitwise", [
+    ((32, 3, 32, 32), (16, 3, 3, 3), True),  # the synthetic_small layers
+    ((32, 16, 32, 32), (32, 16, 3, 3), True),
+    ((32, 32, 16, 16), (64, 32, 3, 3), True),
+    # OpenBLAS sends small products to small-matrix kernels that round a
+    # transposed operand differently, so at this size the two column
+    # layouts agree to rounding only
+    ((3, 5, 11, 10), (7, 5, 3, 2), False),
+], ids=["layer1", "layer2", "layer3", "small"])
+def test_conv2d_is_bitwise_sliding_window_im2col(dtype, stride, padding, layout,
+                                                 xshape, kshape, bitwise):
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(xshape).astype(dtype)
+    if layout == "channels_last":
+        x = _channels_last(x)
+    k = rng.standard_normal(kshape).astype(dtype)
+    out = ad.conv2d(tensor(x, requires_grad=True), tensor(k, requires_grad=True),
+                    stride=stride, padding=padding)
+    g = rng.standard_normal(out.shape).astype(dtype)
+    want_out, want_dx, want_dk = _conv2d_sliding_window(x, k, g, stride, padding)
+    dx, dk = out._backward_fn(g)
+    assert out.data.strides == want_out.strides
+    assert dx.tobytes() == want_dx.tobytes()
+    if bitwise:
+        assert out.data.tobytes() == want_out.tobytes()
+        assert dk.tobytes() == want_dk.tobytes()
+    else:
+        rtol = 1e-5 if dtype == np.float32 else 1e-12
+        np.testing.assert_allclose(out.data, want_out, rtol=rtol, atol=rtol)
+        np.testing.assert_allclose(dk, want_dk, rtol=rtol, atol=rtol)
+
+
 def test_conv2d_rejects_channel_mismatch():
     with pytest.raises(ShapeError):
         ad.conv2d(tensor(np.zeros((1, 3, 8, 8))), tensor(np.zeros((4, 2, 3, 3))))
@@ -415,13 +508,13 @@ def test_graph_orders_parents_before_children():
     y = x * 2.0
     z = y + x
     loss = z.sum()
-    graph = ad.Graph(loss)
-    pos = {id(n): i for i, n in enumerate(graph.nodes)}
-    for node in graph.nodes:
+    nodes = ad.Graph(loss)
+    pos = {id(n): i for i, n in enumerate(nodes)}
+    for node in nodes:
         for parent in node._parents:
             if parent.requires_grad:
                 assert pos[id(parent)] < pos[id(node)]
-    assert graph.nodes[-1] is loss
+    assert nodes[-1] is loss
 
 
 @given(st.integers(0, 2**32 - 1))

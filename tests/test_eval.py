@@ -14,6 +14,7 @@ from mixsiam import eval as eval_module
 from mixsiam.data import SyntheticConfig, make_synthetic
 from mixsiam.errors import ConfigError, ShapeError
 from mixsiam.eval import (
+    KNN_CHUNK,
     EvalReport,
     ProbeConfig,
     eval_datasets,
@@ -95,6 +96,32 @@ def test_knn_matches_brute_force_oracle(seed):
     k = int(rng.integers(1, 12))
     got = knn_predict(train, labels, queries, k=k, class_count=3)
     assert got.tolist() == knn_oracle(train, labels, queries, k, 3)
+
+
+def _knn_unchunked(train, labels, queries, k, classes):
+    """knn_predict as one [N_test, N_train] similarity matrix and one stable
+    argsort: the chunked ranking must give exactly these predictions."""
+    tn = train / np.linalg.norm(train, axis=1, keepdims=True)
+    qn = queries / np.linalg.norm(queries, axis=1, keepdims=True)
+    order = np.argsort(qn @ -tn.T, axis=1, kind="stable")[:, :k]
+    return [int(np.argmax(np.bincount(v, minlength=classes))) for v in labels[order]]
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, KNN_CHUNK + 1])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_knn_chunk_edges_match_unchunked_ranking(seed, extra):
+    # groups of near-duplicate training rows put similarities within an ulp
+    # of each other, where a block whose rows round differently would
+    # reorder neighbours; the repeated rows add exact ties
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((8, 6))
+    train = np.repeat(base, 16, axis=0) * (1 + 1e-15 * rng.standard_normal((128, 1)))
+    train = np.concatenate([train, train[:16]])
+    labels = rng.integers(0, 5, size=len(train))
+    queries = rng.standard_normal((KNN_CHUNK + extra, 6))
+    for k in (1, 3):
+        got = knn_predict(train, labels, queries, k=k, class_count=5)
+        assert got.tolist() == _knn_unchunked(train, labels, queries, k, 5)
 
 
 @given(st.integers(0, 2**32 - 1))
