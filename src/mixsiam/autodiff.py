@@ -327,6 +327,10 @@ def batchnorm(x, gamma, beta, running_mean, running_var, mode,
         inv_std = 1.0 / np.sqrt(running_var.reshape(pshape).astype(x.data.dtype) + eps)
         xhat = x.data - running_mean.reshape(pshape).astype(x.data.dtype)
     xhat *= inv_std
+    if not (x.requires_grad or gamma.requires_grad or beta.requires_grad):
+        xhat *= gview  # no backward will read xhat: finish in place
+        xhat += bview
+        return _result(xhat, (x, gamma, beta), None, "batchnorm")
     out = gview * xhat
     out += bview
 
@@ -359,7 +363,10 @@ def conv2d(x, k, stride=1, padding=0):
     bits wherever BLAS packs both operand layouts alike. Backward is two
     GEMMs (the kernel grad against the saved columns as one [C*kh*kw, B*N]
     operand, the column grads against the kernel) plus a col2im scatter
-    back through the same window layout.
+    back through the same window layout. When neither input needs a
+    gradient, `_conv2d_forward_only` gives the same bits faster and keeps
+    nothing; training keeps the channel-major columns, because the
+    summation order of `dk` depends on them.
     """
     if x.data.ndim != 4 or k.data.ndim != 4 or x.data.shape[1] != k.data.shape[1]:
         raise ShapeError(f"conv2d: shapes {x.data.shape} and {k.data.shape} incompatible")
@@ -372,6 +379,10 @@ def conv2d(x, k, stride=1, padding=0):
     hout = (hp - kh) // stride + 1
     wout = (wp - kw) // stride + 1
 
+    kmat = k.data.reshape(kout, -1)
+    if not (x.requires_grad or k.requires_grad):
+        out = _conv2d_forward_only(x.data, kmat, kh, kw, stride, padding, hout, wout)
+        return _result(out, (x, k), None, "conv2d")
     if padding:
         xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     else:
@@ -383,7 +394,6 @@ def conv2d(x, k, stride=1, padding=0):
             cols[:, i, j] = xt[:, :, i:i + stride * (hout - 1) + 1:stride,
                                j:j + stride * (wout - 1) + 1:stride]
     cols = cols.reshape(-1, bsz * hout * wout)  # [C*kh*kw, B*N]
-    kmat = k.data.reshape(kout, -1)
     out = (cols.reshape(-1, bsz, hout * wout).transpose(1, 2, 0) @ kmat.T
            ).transpose(0, 2, 1).reshape(bsz, kout, hout, wout)
 
@@ -405,6 +415,38 @@ def conv2d(x, k, stride=1, padding=0):
                 dxp = dxp[:, :, padding:padding + h, padding:padding + w]
         return dxp, dk
     return _result(out, (x, k), bw, "conv2d")
+
+
+CONV_FORWARD_BLOCK = 16  # samples per padded, sample-major column block
+
+
+def _conv2d_forward_only(x, kmat, kh, kw, stride, padding, hout, wout):
+    """conv2d's output when nothing needs a gradient, with its bits and
+    layout, built CONV_FORWARD_BLOCK samples at a time.
+
+    Each block is padded and laid out as sample-major columns
+    [b, C, kh, kw, hout, wout], then multiplied while it is still in cache.
+    The per-sample GEMM reads its [N, C*kh*kw] operand transposed with
+    leading dimension N rather than B*N, in the same summation order, and
+    no full-batch column buffer is kept.
+    """
+    bsz, cin, h, w = x.shape
+    n = hout * wout
+    blk = min(bsz, CONV_FORWARD_BLOCK)
+    xp = np.zeros((blk, cin, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+    cols = np.empty((blk, cin, kh, kw, hout, wout), dtype=x.dtype)
+    out = np.empty((bsz, n, kmat.shape[0]), dtype=x.dtype)
+    for start in range(0, bsz, blk):
+        stop = min(start + blk, bsz)
+        xb, cb = xp[:stop - start], cols[:stop - start]
+        xb[:, :, padding:padding + h, padding:padding + w] = x[start:stop]
+        for i in range(kh):
+            for j in range(kw):
+                cb[:, :, i, j] = xb[:, :, i:i + stride * (hout - 1) + 1:stride,
+                                    j:j + stride * (wout - 1) + 1:stride]
+        np.matmul(cb.reshape(stop - start, -1, n).transpose(0, 2, 1), kmat.T,
+                  out=out[start:stop])
+    return out.transpose(0, 2, 1).reshape(bsz, -1, hout, wout)
 
 
 def global_avg_pool(x):

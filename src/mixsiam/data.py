@@ -1,8 +1,10 @@
 """Dataset ingestion and generation: CIFAR-10 binary batches, a synthetic
 grating dataset for fast controlled experiments, and epoch batching.
 
-Pixels are stored channel-first as float64 in [0,1]; a raw byte b parses
-to exactly b/255.0, and the writer inverts that losslessly.
+Pixels are channel-first in [0,1]. A CIFAR-10 record keeps its raw bytes
+(uint8, 3072 per image) and reads byte b as exactly b/255.0 in float64, so
+every consumer sees the bytes a float64 parse would give; the writer puts
+the stored bytes back unchanged. Synthetic records store float64.
 """
 
 from __future__ import annotations
@@ -28,11 +30,22 @@ SYNTHETIC_NOISE_SIGMA = 0.02
 
 @dataclass(frozen=True)
 class ImageRecord:
-    """One labeled image: channel-first pixels in [0,1]."""
+    """One labeled image. `stored` is [C, H, W]: float pixels in [0,1], or
+    raw uint8 bytes b, which `pixels` reads as b/255.0."""
 
-    pixels: np.ndarray  # [C, H, W]
+    stored: np.ndarray
     label: int
     source_index: int
+
+    def __init__(self, pixels, label, source_index):
+        object.__setattr__(self, "stored", pixels)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "source_index", source_index)
+
+    @property
+    def pixels(self):
+        """[C, H, W] pixels in [0,1]; float64 for byte-stored records."""
+        return self.stored / 255.0 if self.stored.dtype == np.uint8 else self.stored
 
 
 @dataclass
@@ -44,12 +57,12 @@ class Dataset:
     def __post_init__(self):
         if not self.records:
             raise ConfigError(f"dataset {self.name!r} is empty")
-        shape = self.records[0].pixels.shape
+        shape = self.image_shape
         for r in self.records:
-            if r.pixels.shape != shape:
+            if r.stored.shape != shape:
                 raise ConfigError(
                     f"dataset {self.name!r}: record {r.source_index} has shape"
-                    f" {r.pixels.shape}, expected {shape}")
+                    f" {r.stored.shape}, expected {shape}")
             if not 0 <= r.label < self.class_count:
                 raise ConfigError(
                     f"dataset {self.name!r}: record {r.source_index} has label"
@@ -60,7 +73,7 @@ class Dataset:
 
     @property
     def image_shape(self):
-        return self.records[0].pixels.shape
+        return self.records[0].stored.shape
 
     def labels(self):
         return np.array([r.label for r in self.records], dtype=np.int64)
@@ -85,7 +98,8 @@ def _parse_cifar_file(path, start_index=0):
         raise ParseError(
             f"{path}: label byte {labels[i]} > {CIFAR_CLASSES - 1}"
             f" at byte offset {i * CIFAR_RECORD_BYTES}")
-    pixels = arr[:, 1:].reshape(-1, 3, 32, 32) / 255.0
+    # copy the pixel bytes out, so the file buffer and its labels can be freed
+    pixels = np.ascontiguousarray(arr[:, 1:]).reshape(-1, 3, 32, 32)
     return [
         ImageRecord(pixels=pixels[i], label=int(labels[i]), source_index=start_index + i)
         for i in range(pixels.shape[0])
@@ -117,12 +131,15 @@ def write_cifar10_batch(records, path):
     """Write records back to the binary batch layout (inverse of the parser)."""
     out = np.empty((len(records), CIFAR_RECORD_BYTES), dtype=np.uint8)
     for i, r in enumerate(records):
-        if r.pixels.shape != (3, 32, 32):
+        if r.stored.shape != (3, 32, 32):
             raise ConfigError(
-                f"write_cifar10_batch: record {i} has shape {r.pixels.shape},"
+                f"write_cifar10_batch: record {i} has shape {r.stored.shape},"
                 " format requires (3, 32, 32)")
         out[i, 0] = r.label
-        out[i, 1:] = np.round(r.pixels * 255.0).astype(np.uint8).reshape(-1)
+        if r.stored.dtype == np.uint8:
+            out[i, 1:] = r.stored.reshape(-1)
+        else:
+            out[i, 1:] = np.round(r.stored * 255.0).astype(np.uint8).reshape(-1)
     with open(path, "wb") as f:
         f.write(out.tobytes())
 
@@ -185,5 +202,14 @@ def batches(ds: Dataset, batch_size: int, seed: int, epoch: int):
 
 
 def stack_pixels(records, dtype=np.float64):
-    """[B, C, H, W] array of the records' pixels in the requested dtype."""
-    return np.stack([r.pixels for r in records]).astype(dtype, copy=False)
+    """[B, C, H, W] array of the records' pixels in the requested dtype.
+
+    Byte-stored records are stacked as bytes and divided once; division
+    rounds per element, so the values are those of `pixels`.
+    """
+    stored = [r.stored for r in records]
+    if all(s.dtype == np.uint8 for s in stored):
+        x = np.stack(stored) / 255.0
+    else:
+        x = np.stack([r.pixels for r in records])
+    return x.astype(dtype, copy=False)

@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .augment import resize_bilinear
 from .autodiff import Tensor
-from .data import Dataset, SyntheticConfig, load_cifar10, make_synthetic
+from .data import Dataset, SyntheticConfig, load_cifar10, make_synthetic, stack_pixels
 from .errors import ConfigError, ShapeError, TrainingAborted
 from .model import ModelParams, encode, init
 from .train import (
@@ -95,16 +95,17 @@ def extract_features(params: ModelParams, dataset: Dataset, output_size=None,
     frozen = replace(params, tensors={name: t.detach() for name, t in params.named()})
     first = next(iter(params.named()))[1]
     dtype = first.data.dtype
+    resize = (output_size is not None
+              and dataset.image_shape[1:] != (output_size, output_size))
     chunks = []
     records = dataset.records
     for start in range(0, len(records), batch_size):
-        imgs = []
-        for r in records[start:start + batch_size]:
-            x = r.pixels
-            if output_size is not None and x.shape[1:] != (output_size, output_size):
-                x = resize_bilinear(x, output_size, output_size)
-            imgs.append(x)
-        x = np.stack(imgs).astype(dtype)
+        batch = records[start:start + batch_size]
+        if resize:
+            x = np.stack([resize_bilinear(r.pixels, output_size, output_size)
+                          for r in batch]).astype(dtype)
+        else:
+            x = stack_pixels(batch, dtype)
         chunks.append(encode(frozen, x, "eval").data)
     return np.concatenate(chunks, axis=0), dataset.labels()
 
@@ -128,7 +129,8 @@ def knn_predict(train_feats, train_labels, test_feats, k=20, class_count=None):
     """Majority vote over the k most cosine-similar training features.
 
     Deterministic by construction: similarity ties keep training-set
-    order (stable sort) and vote ties go to the smallest class id.
+    order (the neighbours a stable sort would rank first) and vote ties
+    go to the smallest class id.
     """
     tn = _normalized(train_feats, "knn train")
     qn = _normalized(test_feats, "knn test")
@@ -138,23 +140,53 @@ def knn_predict(train_feats, train_labels, test_feats, k=20, class_count=None):
             f"knn: {tn.shape[0]} training rows but labels shape {labels.shape}")
     if not 1 <= k <= tn.shape[0]:
         raise ConfigError(f"knn: k={k} outside [1, {tn.shape[0]}]")
-    classes = int(class_count) if class_count else int(labels.max()) + 1
+    if labels.min() < 0:
+        raise ConfigError("knn: training labels must be non-negative")
+    classes = max(int(class_count or 0), int(labels.max()) + 1)
 
     # Queries are ranked KNN_CHUNK rows at a time, so the similarity matrix
-    # and its argsort stay [KNN_CHUNK, N_train] instead of [N_test, N_train];
-    # a GEMM row has the same bits whatever the row count. A one-row product
-    # runs as a GEMV, which rounds differently, so a one-row tail joins the
-    # chunk before it. Negating tn rather than the product is exact.
+    # stays [KNN_CHUNK, N_train] instead of [N_test, N_train]; a GEMM row has
+    # the same bits whatever the row count. A one-row product runs as a
+    # GEMV, which rounds differently, so a one-row tail joins the chunk
+    # before it. Negating tn rather than the product is exact.
     n = qn.shape[0]
     starts = [s for s in range(0, n, KNN_CHUNK) if s == 0 or n - s > 1]
     neg_tn_t = -tn.T
     preds = np.empty(n, dtype=np.int64)
     for start, stop in zip(starts, starts[1:] + [n]):
-        order = np.argsort(qn[start:stop] @ neg_tn_t, axis=1, kind="stable")
-        for i, votes in enumerate(labels[order[:, :k]], start):
-            counts = np.bincount(votes, minlength=classes)
-            preds[i] = np.argmax(counts)  # first maximum = smallest class id
+        nearest = _k_smallest(qn[start:stop] @ neg_tn_t, k)
+        rows, cols = np.divmod(np.flatnonzero(nearest), tn.shape[0])
+        counts = np.bincount(rows * classes + labels[cols],
+                             minlength=(stop - start) * classes)
+        # first maximum = smallest class id
+        preds[start:stop] = np.argmax(counts.reshape(-1, classes), axis=1)
     return preds
+
+
+def _k_smallest(d, k):
+    """Boolean mask of the k entries of each row of `d` that a stable
+    ascending sort puts first: every entry below the row's k-th smallest
+    value, then the earliest-indexed entries equal to it.
+
+    A partial selection (np.partition) finds the k-th value; only rows
+    with surplus ties at it pay for a running count. Rows whose k-th value
+    is NaN (sorted last, and never equal to itself) take the sort.
+    """
+    kth = np.partition(d, k - 1, axis=1)[:, k - 1:k]
+    mask = d <= kth
+    surplus = np.flatnonzero(np.count_nonzero(mask, axis=1) > k)
+    if surplus.size:
+        ds, ks = d[surplus], kth[surplus]
+        ties = ds == ks
+        below = ds < ks
+        need = k - np.count_nonzero(below, axis=1, keepdims=True)
+        mask[surplus] = below | (ties & (np.cumsum(ties, axis=1) <= need))
+    nan_rows = np.flatnonzero(np.isnan(kth[:, 0]))
+    if nan_rows.size:
+        order = np.argsort(d[nan_rows], axis=1, kind="stable")[:, :k]
+        mask[nan_rows] = False
+        mask[nan_rows[:, None], order] = True
+    return mask
 
 
 def knn_probe(train_feats, train_labels, test_feats, test_labels, k=20) -> float:

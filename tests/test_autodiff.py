@@ -276,6 +276,39 @@ def test_batchnorm_eval_uses_running_stats():
     assert np.array_equal(rm, [1.0, -1.0]) and np.array_equal(rv, [4.0, 0.25])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("shape,layout", [
+    ((6, 5), "c_order"),
+    ((4, 3, 5, 5), "c_order"),
+    ((4, 3, 5, 5), "channels_last"),  # what conv2d hands batchnorm
+])
+def test_batchnorm_without_grad_is_bitwise_grad_path(dtype, mode, shape, layout):
+    # the no-gradient path finishes in place; it must give the bytes, the
+    # strides and the running buffers of the path that keeps xhat
+    rng = np.random.default_rng(13)
+    x = rng.normal(0.5, 2.0, size=shape).astype(dtype)
+    if layout == "channels_last":
+        x = _channels_last(x)
+    nfeat = shape[1]
+    gamma = rng.uniform(0.5, 1.5, size=nfeat).astype(dtype)
+    beta = rng.standard_normal(nfeat).astype(dtype)
+    rm = rng.standard_normal(nfeat).astype(dtype)
+    rv = rng.uniform(0.5, 2.0, size=nfeat).astype(dtype)
+    bufs = {}
+    outs = {}
+    for grad in (False, True):
+        bufs[grad] = (rm.copy(), rv.copy())
+        outs[grad] = ad.batchnorm(tensor(x), tensor(gamma, requires_grad=grad),
+                                  tensor(beta, requires_grad=grad), *bufs[grad], mode)
+    fast, ref = outs[False], outs[True]
+    assert fast.data.tobytes() == ref.data.tobytes()
+    assert fast.data.strides == ref.data.strides
+    for a, b in zip(bufs[False], bufs[True]):
+        assert a.tobytes() == b.tobytes()
+    assert fast._backward_fn is None and not fast._parents and not fast.requires_grad
+
+
 def test_batchnorm_rejects_singleton_train_batch():
     x = tensor(np.zeros((1, 4)))
     with pytest.raises(ShapeError, match="batch size"):
@@ -401,6 +434,40 @@ def test_conv2d_is_bitwise_sliding_window_im2col(dtype, stride, padding, layout,
         rtol = 1e-5 if dtype == np.float32 else 1e-12
         np.testing.assert_allclose(out.data, want_out, rtol=rtol, atol=rtol)
         np.testing.assert_allclose(dk, want_dk, rtol=rtol, atol=rtol)
+
+
+# the synthetic_small layers with the stride the model gives each
+SMALL_LAYERS = {
+    "layer1": ((3, 32, 32), (16, 3, 3, 3), 1),
+    "layer2": ((16, 32, 32), (32, 16, 3, 3), 2),
+    "layer3": ((32, 16, 16), (64, 32, 3, 3), 2),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layout", ["c_order", "channels_last"])
+@pytest.mark.parametrize("layer", list(SMALL_LAYERS))
+@pytest.mark.parametrize("bsz", [32, 256])  # a train batch, evaluate's batch
+def test_conv2d_forward_only_is_bitwise_sliding_window_im2col(dtype, layout, layer, bsz):
+    # with both inputs constant conv2d takes its forward-only path; its
+    # output must have the bytes and strides of the reference and of the
+    # path that keeps columns for backward, and it records no backward
+    xshape, kshape, stride = SMALL_LAYERS[layer]
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((bsz,) + xshape).astype(dtype)
+    if layout == "channels_last":
+        x = _channels_last(x)
+    k = rng.standard_normal(kshape).astype(dtype)
+    out = ad.conv2d(tensor(x), tensor(k), stride=stride, padding=1)
+    assert out._backward_fn is None and not out._parents and not out.requires_grad
+    want, _, _ = _conv2d_sliding_window(x, k, np.zeros(out.shape, dtype=dtype), stride, 1)
+    assert out.data.strides == want.strides
+    assert out.data.tobytes() == want.tobytes()
+    for grad_x, grad_k in ((True, False), (False, True)):
+        ref = ad.conv2d(tensor(x, requires_grad=grad_x), tensor(k, requires_grad=grad_k),
+                        stride=stride, padding=1)
+        assert out.data.strides == ref.data.strides
+        assert out.data.tobytes() == ref.data.tobytes()
 
 
 def test_conv2d_rejects_channel_mismatch():

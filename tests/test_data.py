@@ -109,6 +109,43 @@ def test_cifar_round_trip_bitwise(tmp_path):
     assert out.read_bytes() == raw
 
 
+def test_byte_record_reads_every_byte_as_b_over_255():
+    # all 256 byte values: `pixels` and `stack_pixels` must give the bits
+    # of b / 255.0 in float64, the values a float64 parse stores
+    b = np.arange(256, dtype=np.uint8).reshape(1, 16, 16)
+    want = (np.arange(256) / 255.0).reshape(1, 16, 16)
+    rec = ImageRecord(pixels=b, label=0, source_index=0)
+    assert rec.pixels.dtype == np.float64
+    assert rec.pixels.tobytes() == want.tobytes()
+    assert stack_pixels([rec, rec]).tobytes() == np.stack([want, want]).tobytes()
+    assert (stack_pixels([rec], np.float32).tobytes()
+            == want[None].astype(np.float32).tobytes())
+
+
+def test_cifar_record_keeps_its_3072_bytes(tmp_path):
+    rng = np.random.default_rng(2)
+    raw = _raw_batch(rng, 3)
+    (tmp_path / "test_batch.bin").write_bytes(raw)
+    ds = load_cifar10(tmp_path, split="test")
+    for i, r in enumerate(ds.records):
+        assert r.stored.dtype == np.uint8 and r.stored.nbytes == 3072
+        assert r.stored.tobytes() == raw[i * CIFAR_RECORD_BYTES + 1:(i + 1) * CIFAR_RECORD_BYTES]
+    # the records share one block of pixel bytes, not the file buffer
+    assert ds.records[0].stored.base.nbytes == 3 * 3072
+
+
+def test_write_puts_byte_records_back_unchanged(tmp_path):
+    b = np.arange(3072).astype(np.uint8).reshape(3, 32, 32)
+    rec = ImageRecord(pixels=b, label=7, source_index=0)
+    write_cifar10_batch([rec], tmp_path / "test_batch.bin")
+    assert (tmp_path / "test_batch.bin").read_bytes() == bytes([7]) + b.tobytes()
+    back = load_cifar10(tmp_path, split="test").records[0]
+    assert back.stored.tobytes() == b.tobytes()
+    # a float record holding the same values writes the same bytes
+    write_cifar10_batch([ImageRecord(rec.pixels, 7, 0)], tmp_path / "float.bin")
+    assert (tmp_path / "float.bin").read_bytes() == bytes([7]) + b.tobytes()
+
+
 def test_write_rejects_non_cifar_shape(tmp_path):
     rec = ImageRecord(pixels=np.zeros((3, 16, 16)), label=0, source_index=0)
     with pytest.raises(ConfigError, match="3, 32, 32"):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import tiny_config
 from mixsiam import eval as eval_module
-from mixsiam.data import SyntheticConfig, make_synthetic
+from mixsiam.data import SyntheticConfig, load_cifar10, make_synthetic, write_cifar10_batch
 from mixsiam.errors import ConfigError, ShapeError
 from mixsiam.eval import (
     KNN_CHUNK,
@@ -124,6 +124,30 @@ def test_knn_chunk_edges_match_unchunked_ranking(seed, extra):
         assert got.tolist() == _knn_unchunked(train, labels, queries, k, 5)
 
 
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1),
+       n_test=st.sampled_from([KNN_CHUNK - 1, KNN_CHUNK, KNN_CHUNK + 1, 2 * KNN_CHUNK + 1]),
+       n_train=st.integers(1, 40), dim=st.integers(1, 4),
+       nan_rows=st.sampled_from([False, True]))
+@settings(max_examples=60, deadline=None)
+def test_knn_partial_selection_matches_stable_argsort(data, seed, n_test, n_train, dim,
+                                                      nan_rows):
+    # integer-valued rows drawn from a few distinct ones give exact
+    # similarity ties, which the partial selection must break by training
+    # order just as the stable sort does; NaN rows sort last
+    rng = np.random.default_rng(seed)
+    distinct = rng.integers(-2, 3, size=(4, dim)).astype(float)
+    distinct[np.all(distinct == 0, axis=1), 0] = 1.0  # no zero rows
+    train = distinct[rng.integers(0, 4, size=n_train)]
+    queries = distinct[rng.integers(0, 4, size=n_test)]
+    if nan_rows:
+        train[rng.random(n_train) < 0.2] = np.nan
+        queries[rng.random(n_test) < 0.05] = np.nan
+    labels = rng.integers(0, 3, size=n_train)
+    k = data.draw(st.integers(1, n_train), label="k")
+    got = knn_predict(train, labels, queries, k=k, class_count=3)
+    assert got.tolist() == _knn_unchunked(train, labels, queries, k, 3)
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_knn_self_neighbors_reproduce_labels(seed):
@@ -148,6 +172,8 @@ def test_knn_rejects_bad_inputs():
         knn_predict(feats, np.array([0, 1]), feats, k=1)
     with pytest.raises(ShapeError):
         knn_predict(np.ones(3), labels, feats, k=1)
+    with pytest.raises(ConfigError, match="non-negative"):
+        knn_predict(feats, np.array([0, -1, 0]), feats, k=1)
 
 
 # -- linear probe ------------------------------------------------------------
@@ -245,6 +271,24 @@ def test_extract_features_builds_no_graph(monkeypatch):
     x = np.stack([r.pixels for r in ds.records]).astype(np.float32)
     assert feats.tobytes() == encode(params, x, "eval").data.tobytes()
     assert all(t.requires_grad and t.grad is None for _, t in params.named())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("source", ["synthetic", "cifar10"])
+def test_extract_features_is_bitwise_encode_with_grad(tmp_path, dtype, source):
+    # extract_features runs the forward-only conv2d and batchnorm, and
+    # stacks byte-stored pixels before dividing; encode on requires-grad
+    # parameters runs the training kernels on each record's pixels
+    ds = make_synthetic(SyntheticConfig(classes=3, per_class=12, size=32, seed=2))
+    if source == "cifar10":
+        write_cifar10_batch(ds.records, tmp_path / "test_batch.bin")
+        ds = load_cifar10(tmp_path, split="test")
+        assert ds.records[0].stored.dtype == np.uint8
+    params = init(EncoderSpec.small(), PredictorSpec.small(), seed=4, dtype=dtype)
+    feats, _ = extract_features(params, ds, output_size=32, batch_size=20)
+    x = np.stack([r.pixels for r in ds.records]).astype(dtype)
+    want = np.concatenate([encode(params, x[s:s + 20], "eval").data for s in (0, 20)])
+    assert feats.tobytes() == want.tobytes()
 
 
 def test_extract_features_resizes_when_needed():

@@ -10,7 +10,10 @@ written two-view reference loop.
 import dataclasses
 import json
 import os
+import platform
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from hypothesis import strategies as st
 
 from conftest import tiny_config
 from mixsiam import autodiff as ad
+from mixsiam import train as train_module
 from mixsiam.augment import (
     VIEW1_SLOT,
     VIEW2_SLOT,
@@ -734,3 +738,36 @@ def test_lambda_one_matches_reference_two_view_loop():
     ref = dict(params.named())
     for name, t in state.params.named():
         assert np.array_equal(t.data, ref[name].data), name
+
+
+# -- allocator --------------------------------------------------------------
+
+_REFAULT_PROBE = """
+import resource, sys
+import numpy as np
+from mixsiam import train
+if sys.argv[1] == "1":
+    train._keep_freed_heap()
+def step():  # ten 4 MB temporaries alive at once, then all freed
+    live = [np.ones(1 << 19) for _ in range(10)]
+step()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    step()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's allocator")
+def test_keep_freed_heap_stops_refaulting_freed_blocks():
+    # a fresh interpreter each, since the setting is process-wide: under
+    # glibc's starting thresholds the freed blocks of one step go back to
+    # the kernel and fault in again in the next
+    src = os.path.dirname(os.path.dirname(train_module.__file__))
+    faults = {}
+    for on in ("0", "1"):
+        out = subprocess.run([sys.executable, "-c", _REFAULT_PROBE, on], check=True,
+                             capture_output=True, text=True, timeout=120,
+                             env={**os.environ, "PYTHONPATH": src})
+        faults[on] = int(out.stdout)
+    assert faults["1"] * 10 < faults["0"]
