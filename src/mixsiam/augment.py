@@ -1,13 +1,36 @@
-"""Stochastic view generation and linear image mixture.
+"""Stochastic view generation and linear image mixture, over whole batches.
 
 Each training image yields a (x1, x2, xm) triplet: two independently
 augmented views plus their convex pixel-space combination. All randomness
 comes from numpy Generators keyed by (seed, epoch, source_index, slot),
 so a sample's views never depend on batch composition or worker order.
 
-A view's generator is consumed by a fixed 13-draw schedule (crop fraction,
-aspect, 2 offsets, flip gate, jitter gate + 4 factors, grayscale gate,
-blur gate + sigma) whether or not each gated stage fires.
+A view's generator is consumed by a fixed 13-draw schedule, one
+`rng.random(13)` read as (crop fraction, aspect, top, left, flip gate,
+jitter gate, brightness, contrast, saturation, hue, grayscale gate, blur
+gate, sigma), whether or not each gated stage fires. A ranged parameter
+is `lo + (hi - lo) * u`, the bits `rng.uniform(lo, hi)` would give.
+
+`augment_view` runs each stage once over the batch, in this order:
+random resized crop plus bilinear resize (one gather with per-sample
+windows), horizontal flip, color jitter (brightness, contrast,
+saturation, hue; fixed order), grayscale, Gaussian blur, clip to [0, 1].
+Flip, jitter and grayscale are masked batch ops: they run on every
+sample, with per-sample factors broadcast, and are kept where the
+sample's gate fired. Blur orders its samples by radius ceil(3*sigma) and
+sums each over its own taps (padding a kernel to a common radius with
+zero taps can turn a -0.0 into +0.0). Every value equals the one a
+per-sample pipeline computes, bit for bit.
+
+Layout rule for the three-channel dot products, which OpenBLAS rounds
+differently depending on the operand's memory: the hue stage's luma and
+chroma products read an operand whose channel is the fastest axis
+([B, H, W, C] memory), while every other luma product is a GEMV over one
+sample's C-order [C, H*W] plane. A batched GEMV over [C, B*H*W] is not
+used: its kernel rounds some trailing pixels of a sample differently
+when H*W is odd. Arrays pass between stages channel-major, [C, B, H, W]
+in memory; the public functions take and return [B, C, H, W]-shaped
+arrays (views of that memory), and `make_triplet` returns C-order copies.
 """
 
 from __future__ import annotations
@@ -16,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ImageRecord
+from .data import stack_pixels
 from .errors import ConfigError, ShapeError
 
 LUMA = np.array([0.299, 0.587, 0.114])
@@ -31,6 +54,8 @@ _YIQ_TO_RGB = np.array([[1.0, 0.9563, 0.6210],
 VIEW1_SLOT = 0
 VIEW2_SLOT = 1
 MIX_SLOT = 2
+
+VIEW_DRAWS = 13  # per-view schedule length; see the module docstring
 
 
 @dataclass(frozen=True)
@@ -47,6 +72,9 @@ class AugmentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("crop_scale_range", "blur_sigma_range", "aspect_ratio_range"):
+            if len(getattr(self, name)) != 2:
+                raise ConfigError(f"{name} must be a (lo, hi) pair, got {getattr(self, name)}")
         lo, hi = self.crop_scale_range
         if not 0 < lo <= hi <= 1:
             raise ConfigError(f"crop_scale_range must satisfy 0 < lo <= hi <= 1, got {self.crop_scale_range}")
@@ -95,14 +123,24 @@ class LambdaMixPolicy:
             return float(rng.beta(self.alpha, self.alpha))
         return float(rng.integers(0, 2))
 
+    def draw(self, seed, epoch, sources):
+        """[B] lambda_mix, sample b's from the generator keyed by
+        (seed, epoch, sources[b], MIX_SLOT)."""
+        if self.kind == "fixed":  # draws nothing, so builds no generator
+            return np.full(len(sources), float(self.value))
+        return np.array([self.sample(view_rng(seed, epoch, i, MIX_SLOT)) for i in sources])
+
 
 @dataclass(frozen=True)
 class ViewTriplet:
+    """A batch's views: x1, x2, xm are C-order [B, C, S, S]; lambda_mix
+    and source_index hold one entry per sample."""
+
     x1: np.ndarray
     x2: np.ndarray
     xm: np.ndarray
-    lambda_mix: float
-    source_index: int
+    lambda_mix: np.ndarray
+    source_index: np.ndarray
 
 
 def view_rng(seed, epoch, source_index, slot):
@@ -110,24 +148,52 @@ def view_rng(seed, epoch, source_index, slot):
     return np.random.default_rng([seed, epoch, source_index, slot])
 
 
-def resize_bilinear(img, out_h, out_w):
-    """Half-pixel-centered bilinear resample of a [C, H, W] image.
+def _channel_major(images):
+    """The [C, B, H, W] view of a [B, C, H, W] array, and back."""
+    return images.transpose(1, 0, 2, 3)
 
-    Same-size resample is an exact identity (all interpolation weights
-    collapse to 0/1 on integer coordinates).
+
+def _bilinear_taps(extent, size):
+    """Per-sample source rows (or columns) and weights of a half-pixel
+    centered resample of `extent` pixels to `size`: ([B, size] x 3)."""
+    coords = (np.arange(size) + 0.5) * (extent / size)[:, None] - 0.5
+    i0 = np.floor(coords).astype(np.int64)
+    last = (extent - 1)[:, None]
+    return np.clip(i0, 0, last), np.clip(i0 + 1, 0, last), coords - i0
+
+
+def resize_bilinear(images, size, windows=None):
+    """Half-pixel-centered bilinear resample of each image's crop window
+    to size x size: [B, C, H, W] -> [B, C, size, size].
+
+    `windows` is an int [B, 4] array of (top, left, height, width), the
+    whole image when None. Same-size resample of a whole image is an
+    exact identity (all interpolation weights collapse to 0/1).
     """
-    _, h, w = img.shape
-    ys = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
-    xs = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
-    y0 = np.floor(ys).astype(np.int64)
-    x0 = np.floor(xs).astype(np.int64)
-    wy = (ys - y0)[None, :, None]
-    wx = (xs - x0)[None, None, :]
-    y0c, y1c = np.clip(y0, 0, h - 1), np.clip(y0 + 1, 0, h - 1)
-    x0c, x1c = np.clip(x0, 0, w - 1), np.clip(x0 + 1, 0, w - 1)
-    top = img[:, y0c][:, :, x0c] * (1 - wx) + img[:, y0c][:, :, x1c] * wx
-    bot = img[:, y1c][:, :, x0c] * (1 - wx) + img[:, y1c][:, :, x1c] * wx
-    return top * (1 - wy) + bot * wy
+    b, c, h, w = images.shape
+    if windows is None:
+        windows = np.tile(np.array([0, 0, h, w], dtype=np.int64), (b, 1))
+    first_row, first_col, height, width = np.asarray(windows, dtype=np.int64).T
+    y0, y1, wy = _bilinear_taps(height, size)
+    x0, x1, wx = _bilinear_taps(width, size)
+    src = np.ascontiguousarray(_channel_major(images)).reshape(c, b * h * w)
+    base = (np.arange(b) * (h * w) + first_row * w)[:, None, None]
+    col0 = (first_col[:, None] + x0)[:, None, :]
+    col1 = (first_col[:, None] + x1)[:, None, :]
+    wx = wx[None, :, None, :]
+
+    def along_row(rows, weight):
+        """(c0*(1-wx) + c1*wx) * weight over the source rows `rows`."""
+        out = np.take(src, base + rows[:, :, None] * w + col0, axis=1)
+        out *= 1 - wx
+        right = np.take(src, base + rows[:, :, None] * w + col1, axis=1)
+        right *= wx
+        out += right
+        out *= weight[None, :, :, None]
+        return out
+    top = along_row(y0, 1 - wy)
+    top += along_row(y1, wy)
+    return _channel_major(top)
 
 
 def gaussian_kernel1d(sigma):
@@ -138,111 +204,227 @@ def gaussian_kernel1d(sigma):
     return k / k.sum()
 
 
-def gaussian_blur(img, sigma):
-    """Separable Gaussian blur with reflect padding, per channel."""
-    k = gaussian_kernel1d(sigma)
-    r = (len(k) - 1) // 2
-    pad = np.pad(img, ((0, 0), (r, r), (0, 0)), mode="reflect")
-    img = sum(k[i] * pad[:, i:i + img.shape[1], :] for i in range(len(k)))
-    pad = np.pad(img, ((0, 0), (0, 0), (r, r)), mode="reflect")
-    return sum(k[i] * pad[:, :, i:i + img.shape[2]] for i in range(len(k)))
+def _reflect_index(n, r):
+    """Source index of each position of an axis of n padded by r on both
+    sides in np.pad's "reflect" mode (mirror about the edge pixels)."""
+    period = 2 * (n - 1)
+    i = np.abs(np.arange(-r, n + r)) % period
+    return np.where(i < n, i, period - i)
 
 
-def to_grayscale(img):
+def _blur_rows(x, radii, taps):
+    """Reflect-padded 1-d convolution along axis 2 of x [C, n, H, W].
+
+    Sample b has radius radii[b], in descending order, and its taps
+    centered in row b of taps [n, 2*radii[0]+1] (entries past the n
+    samples of x have radius -1 and are left out). One sweep over the
+    tap offsets serves every radius: the samples wide enough for an offset
+    are a prefix, and each sample's sum runs over its own taps in order,
+    starting from 0 (which makes -0.0 +0.0). Returns a C-order array.
+    """
+    h = x.shape[2]
+    big = int(radii[0])
+    pad = np.take(x, _reflect_index(h, big), axis=2)
+    acc = np.empty(x.shape)
+    term = np.empty(x.shape)
+    for off in range(-big, big + 1):
+        live = np.count_nonzero(radii >= abs(off))
+        summing = np.count_nonzero(radii > abs(off)) if off <= 0 else live
+        start = big + off
+        np.multiply(taps[:live, start][None, :, None, None], pad[:, :live, start:start + h],
+                    out=term[:, :live])
+        np.add(term[:, summing:live], 0.0, out=acc[:, summing:live])
+        acc[:, :summing] += term[:, :summing]
+    return acc
+
+
+def gaussian_blur(images, sigmas):
+    """Separable Gaussian blur with reflect padding, per channel, with
+    sample b blurred at sigmas[b]; a sigma of 0 leaves the sample as it
+    is: [B, C, H, W] -> [B, C, H, W].
+
+    Samples are ordered by radius ceil(3*sigma), and each keeps its own
+    taps (zero taps, to pad a kernel to a wider radius, could turn a -0.0
+    into +0.0). The column pass runs on the transposed rows, so that both
+    passes read contiguous windows.
+    """
+    x = _channel_major(images)
+    sigmas = np.asarray(sigmas, dtype=np.float64)
+    radii = np.where(sigmas > 0, np.ceil(3.0 * sigmas), -1).astype(np.int64)
+    order = np.argsort(-radii, kind="stable")
+    radii = radii[order]
+    out = np.array(x, order="C")
+    n = np.count_nonzero(radii > 0)
+    if n:
+        big = int(radii[0])
+        taps = np.zeros((n, 2 * big + 1))
+        for row, sigma, r in zip(taps, sigmas[order], radii):
+            row[big - r:big + r + 1] = gaussian_kernel1d(sigma)
+        rows = _blur_rows(np.take(x, order[:n], axis=1), radii, taps)
+        cols = _blur_rows(rows.transpose(0, 1, 3, 2), radii, taps)
+        out[:, order[:n]] = cols.transpose(0, 1, 3, 2)
+    return _channel_major(out)
+
+
+def _luma_planes(x):
+    """[B, H*W] luma of channel-major x [3, B, H, W], one GEMV per sample
+    (see the layout rule in the module docstring)."""
+    row = LUMA[None]
+    out = np.empty((x.shape[1], x.shape[2] * x.shape[3]))
+    for b in range(x.shape[1]):
+        np.dot(row, x[:, b].reshape(3, -1), out=out[b:b + 1])
+    return out
+
+
+def to_grayscale(images):
     """Replicate the luma channel (0.299, 0.587, 0.114) to all channels."""
-    luma = np.tensordot(LUMA, img, axes=(0, 0))
-    return np.broadcast_to(luma, img.shape).copy()
+    x = _channel_major(images)
+    luma = _luma_planes(x).reshape(x.shape[1:])
+    return _channel_major(np.broadcast_to(luma, x.shape).copy())
 
 
-def _rotate_hue(img, angle):
-    yiq_y = np.tensordot(LUMA, img, axes=(0, 0))
-    iq = np.tensordot(_RGB_TO_IQ, img, axes=(1, 0))
-    c, s = np.cos(angle), np.sin(angle)
-    rot = np.stack([c * iq[0] - s * iq[1], s * iq[0] + c * iq[1]])
-    yiq = np.concatenate([yiq_y[None], rot])
-    return np.tensordot(_YIQ_TO_RGB, yiq, axes=(1, 0))
+def _rotate_hue(x, angle):
+    """Rotate the YIQ chroma plane of channel-major x by per-sample
+    `angle`. x must have [B, H, W, C] memory: the luma and chroma products
+    then read a channel-fastest [3, B*H*W] operand."""
+    _, n, h, w = x.shape
+    flat = x.transpose(1, 2, 3, 0).reshape(-1, 3).T
+    yiq_y = np.tensordot(LUMA, flat, axes=(0, 0))
+    iq = np.tensordot(_RGB_TO_IQ, flat, axes=(1, 0)).reshape(2, n, h * w)
+    c, s = np.cos(angle)[:, None], np.sin(angle)[:, None]
+    yiq = np.empty((3, n, h * w))
+    yiq[0] = yiq_y.reshape(n, h * w)
+    np.multiply(c, iq[0], out=yiq[1])
+    yiq[1] -= s * iq[1]
+    np.multiply(s, iq[0], out=yiq[2])
+    yiq[2] += c * iq[1]
+    return np.tensordot(_YIQ_TO_RGB, yiq.reshape(3, -1), axes=(1, 0)).reshape(3, n, h, w)
 
 
-def _random_resized_crop(img, cfg, rng):
-    _, h, w = img.shape
-    frac = rng.uniform(*cfg.crop_scale_range)
-    aspect = rng.uniform(*cfg.aspect_ratio_range)
-    target_area = frac * h * w
-    cw = int(np.clip(round(np.sqrt(target_area * aspect)), 1, w))
-    ch = int(np.clip(round(np.sqrt(target_area / aspect)), 1, h))
-    top = int(rng.random() * (h - ch + 1))
-    left = int(rng.random() * (w - cw + 1))
-    crop = img[:, top:top + ch, left:left + cw]
-    return resize_bilinear(crop, cfg.output_size, cfg.output_size)
+def _color_jitter(x, fb, fc, fs, dh):
+    """Brightness, contrast, saturation and hue on channel-major x with
+    per-sample factors, in place where it can; returns channel-major
+    [3, B, H, W]."""
+    _, b, h, w = x.shape
+
+    def per_sample(v):
+        return v[None, :, None, None]
+    x *= per_sample(fb)
+    mean_gray = per_sample(_luma_planes(x).mean(axis=1))
+    x -= mean_gray
+    x *= per_sample(fc)
+    x += mean_gray
+    gray = _luma_planes(x).reshape(1, b, h, w)
+    hwc = np.empty((b, h, w, 3)).transpose(3, 0, 1, 2)
+    np.subtract(x, gray, out=hwc)
+    hwc *= per_sample(fs)
+    hwc += gray
+    return _rotate_hue(hwc, 2.0 * np.pi * dh)
 
 
-def augment_view(img, cfg: AugmentConfig, rng):
-    """One stochastic view of `img` (an ImageRecord or [C, H, W] array).
+def _uniform(u, lo, hi):
+    lo, hi = float(lo), float(hi)
+    return lo + (hi - lo) * u
+
+
+def _crop_windows(u, cfg, h, w):
+    """[B, 4] (top, left, height, width) random-resized-crop windows."""
+    frac = _uniform(u[:, 0], *cfg.crop_scale_range)
+    aspect = _uniform(u[:, 1], *cfg.aspect_ratio_range)
+    area = frac * h * w
+    cw = np.clip(np.rint(np.sqrt(area * aspect)), 1, w).astype(np.int64)
+    ch = np.clip(np.rint(np.sqrt(area / aspect)), 1, h).astype(np.int64)
+    top = (u[:, 2] * (h - ch + 1)).astype(np.int64)
+    left = (u[:, 3] * (w - cw + 1)).astype(np.int64)
+    return np.stack([top, left, ch, cw], axis=1)
+
+
+def augment_view(images, cfg: AugmentConfig, rngs):
+    """One stochastic view of each image of the [B, C, H, W] batch
+    `images`; sample b draws its 13 parameters from rngs[b].
 
     Stage order: random resized crop, horizontal flip, color jitter
     (brightness, contrast, saturation, hue — fixed order), grayscale,
-    Gaussian blur; the result is clamped to [0, 1].
+    Gaussian blur; the result is clamped to [0, 1]. Returns
+    [B, C, S, S] float64 with S = cfg.output_size.
     """
-    x = img.pixels if isinstance(img, ImageRecord) else img
-    x = _random_resized_crop(x, cfg, rng)
+    _, _, h, w = images.shape
+    u = np.empty((len(rngs), VIEW_DRAWS))
+    for row, rng in zip(u, rngs):
+        rng.random(out=row)
+    views = resize_bilinear(images, cfg.output_size, _crop_windows(u, cfg, h, w))
+    x = _channel_major(views)
 
-    if rng.random() < cfg.hflip_prob:
-        x = x[:, :, ::-1]
+    def keep_where(gate, stage_output):
+        np.copyto(x, stage_output, where=gate[None, :, None, None])
 
-    jitter_gate = rng.random() < cfg.jitter_prob
-    sb, sc, ss, sh = cfg.jitter_strengths
-    fb = rng.uniform(max(0.0, 1 - sb), 1 + sb)
-    fc = rng.uniform(max(0.0, 1 - sc), 1 + sc)
-    fs = rng.uniform(max(0.0, 1 - ss), 1 + ss)
-    dh = rng.uniform(-sh, sh)
-    if jitter_gate:
-        x = x * fb
-        mean_gray = float(np.tensordot(LUMA, x, axes=(0, 0)).mean())
-        x = (x - mean_gray) * fc + mean_gray
-        gray = np.tensordot(LUMA, x, axes=(0, 0))[None]
-        x = (x - gray) * fs + gray
-        x = _rotate_hue(x, 2.0 * np.pi * dh)
+    flip = u[:, 4] < cfg.hflip_prob
+    if flip.any():
+        keep_where(flip, x[:, :, :, ::-1].copy())
 
-    if rng.random() < cfg.grayscale_prob:
-        x = to_grayscale(x)
+    jitter = u[:, 5] < cfg.jitter_prob
+    if jitter.any():
+        sb, sc, ss, sh = cfg.jitter_strengths
+        keep_where(jitter, _color_jitter(
+            x.copy(),
+            _uniform(u[:, 6], max(0.0, 1 - sb), 1 + sb),
+            _uniform(u[:, 7], max(0.0, 1 - sc), 1 + sc),
+            _uniform(u[:, 8], max(0.0, 1 - ss), 1 + ss),
+            _uniform(u[:, 9], -sh, sh)))
 
-    blur_gate = rng.random() < cfg.blur_prob
-    sigma = rng.uniform(*cfg.blur_sigma_range)
-    if blur_gate:
-        x = gaussian_blur(x, sigma)
+    gray = u[:, 10] < cfg.grayscale_prob
+    if gray.any():
+        keep_where(gray, _channel_major(to_grayscale(views)))
 
-    return np.clip(x, 0.0, 1.0)
+    blur = u[:, 11] < cfg.blur_prob
+    if blur.any():
+        views = gaussian_blur(views, np.where(blur, _uniform(u[:, 12], *cfg.blur_sigma_range), 0.0))
+        x = _channel_major(views)
+
+    np.clip(x, 0.0, 1.0, out=x)
+    return views
 
 
 def mix(x1, x2, lambda_mix):
-    """Convex pixel combination lambda*x1 + (1-lambda)*x2.
+    """Per-sample convex combination lambda[b]*x1[b] + (1-lambda[b])*x2[b]
+    of two batches of the same shape.
 
     Computed with the larger coefficient on its own side, which makes
     mix(a, b, lam) == mix(b, a, 1-lam) hold bitwise (1-lam is exact for
     lam in [0.5, 1]) and the lam in {0, 1} endpoints exact copies.
     """
-    if not 0.0 <= lambda_mix <= 1.0:
-        raise ConfigError(f"lambda_mix must be in [0,1], got {lambda_mix}")
+    lam = np.asarray(lambda_mix, dtype=np.float64)
     if x1.shape != x2.shape:
         raise ShapeError(f"mix: shapes {x1.shape} and {x2.shape} differ")
-    if lambda_mix >= 0.5:
-        return lambda_mix * x1 + (1.0 - lambda_mix) * x2
-    comp = 1.0 - lambda_mix
-    return comp * x2 + (1.0 - comp) * x1
+    if lam.shape != x1.shape[:1]:
+        raise ShapeError(f"mix: {lam.shape} lambdas for a batch of shape {x1.shape}")
+    if not np.all((lam >= 0.0) & (lam <= 1.0)):
+        raise ConfigError(f"lambda_mix must be in [0,1], got {lam}")
+    per_sample = (-1,) + (1,) * (x1.ndim - 1)
+    comp = 1.0 - lam
+    own = np.where(lam >= 0.5, lam, 1.0 - comp)
+    return own.reshape(per_sample) * x1 + comp.reshape(per_sample) * x2
 
 
-def make_triplet(img: ImageRecord, cfg: AugmentConfig, policy: LambdaMixPolicy, epoch: int):
-    """Two independent views of `img` plus their mixture.
+def make_triplet(records, cfg: AugmentConfig, policy: LambdaMixPolicy, epoch: int,
+                 dtype=np.float64):
+    """Two independent views of each record plus their mixture.
 
-    Randomness is keyed by (cfg.seed, epoch, img.source_index, slot) with
-    slots 0/1 for the views and 2 for the lambda draw, so the triplet is a
-    pure function of those four integers.
+    Randomness is keyed by (cfg.seed, epoch, record.source_index, slot)
+    with slots 0/1 for the views and 2 for the lambda draw, so a sample's
+    triplet is a pure function of those four integers. The views are
+    mixed in float64 and cast to `dtype` once.
     """
-    x1 = augment_view(img, cfg, view_rng(cfg.seed, epoch, img.source_index, VIEW1_SLOT))
-    x2 = augment_view(img, cfg, view_rng(cfg.seed, epoch, img.source_index, VIEW2_SLOT))
-    lam = policy.sample(view_rng(cfg.seed, epoch, img.source_index, MIX_SLOT))
-    return ViewTriplet(x1=x1, x2=x2, xm=mix(x1, x2, lam),
-                       lambda_mix=lam, source_index=img.source_index)
+    sources = [r.source_index for r in records]
+    size = cfg.output_size
+    out = np.empty((3, len(sources), 3, size, size), dtype=dtype)  # x1, x2, xm of RGB views
+    images = stack_pixels(records)
+    x1 = augment_view(images, cfg, [view_rng(cfg.seed, epoch, i, VIEW1_SLOT) for i in sources])
+    x2 = augment_view(images, cfg, [view_rng(cfg.seed, epoch, i, VIEW2_SLOT) for i in sources])
+    lam = policy.draw(cfg.seed, epoch, sources)
+    out[0], out[1], out[2] = x1, x2, mix(x1, x2, lam)
+    return ViewTriplet(x1=out[0], x2=out[1], xm=out[2],
+                       lambda_mix=lam, source_index=np.array(sources, dtype=np.int64))
 
 
 def identity_config(output_size, seed=0):

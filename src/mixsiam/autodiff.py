@@ -203,17 +203,21 @@ def maximum(a, b):
                    lambda g: (np.where(first, g, 0), np.where(first, 0, g)), "maximum")
 
 
-def relu(a):
+def relu(a, overwrite_a=False):
     """max(a, 0); NaN propagates, and -0.0 maps to +0.0 as with `where`.
 
     Backward is branch-free: it multiplies the bits of `g`, as unsigned
     integers, by the 0/1 mask kept from forward, into a buffer laid out
     like `g`. That is the layout (and the bits) `np.where(mask, g, 0)`
     gives, which the batchnorm-backward sums downstream depend on.
+
+    With `overwrite_a`, a call that needs no gradient writes into a's own
+    buffer; the caller gives `a` up.
     """
-    out = np.maximum(a.data, 0)
     if not a.requires_grad:  # no backward will run, so no mask
-        return _result(out, (a,), None, "relu")
+        return _result(np.maximum(a.data, 0, out=a.data if overwrite_a else None),
+                       (a,), None, "relu")
+    out = np.maximum(a.data, 0)
     mask = a.data > 0
     bits = np.dtype(f"u{a.data.dtype.itemsize}")
 
@@ -279,13 +283,14 @@ def l2_normalize(x, eps=L2_NORM_EPS):
 
 
 def batchnorm(x, gamma, beta, running_mean, running_var, mode,
-              momentum=BATCHNORM_MOMENTUM, eps=BATCHNORM_EPS):
+              momentum=BATCHNORM_MOMENTUM, eps=BATCHNORM_EPS, overwrite_x=False):
     """Batch normalization over a [B, D] or [B, C, H, W] tensor.
 
     Train mode normalizes with biased batch statistics and updates the
     running buffers in place (unbiased variance, momentum as given); eval
     mode reads the running buffers. `running_mean`/`running_var` are plain
-    numpy arrays, not graph tensors.
+    numpy arrays, not graph tensors. With `overwrite_x`, a call that needs
+    no gradient normalizes in x's own buffer; the caller gives `x` up.
     """
     nd = x.data.ndim
     if nd == 2:
@@ -305,6 +310,8 @@ def batchnorm(x, gamma, beta, running_mean, running_var, mode,
     eps = x.data.dtype.type(eps)
     gview = gamma.data.reshape(pshape)
     bview = beta.data.reshape(pshape)
+    no_grad = not (x.requires_grad or gamma.requires_grad or beta.requires_grad)
+    into = x.data if overwrite_x and no_grad else None
 
     if mode == "train":
         if x.data.shape[0] < 2:
@@ -315,7 +322,7 @@ def batchnorm(x, gamma, beta, running_mean, running_var, mode,
         for ax in axes:
             n *= x.data.shape[ax]
         mu = np.mean(x.data, axis=axes, keepdims=True)
-        xhat = x.data - mu  # centred once; becomes xhat in place below
+        xhat = np.subtract(x.data, mu, out=into)  # centred once; becomes xhat in place below
         var = np.mean(np.square(xhat), axis=axes, keepdims=True)
         inv_std = 1.0 / np.sqrt(var + eps)
         running_mean *= (1.0 - momentum)
@@ -325,9 +332,9 @@ def batchnorm(x, gamma, beta, running_mean, running_var, mode,
         running_var += momentum * unbiased.astype(running_var.dtype)
     else:
         inv_std = 1.0 / np.sqrt(running_var.reshape(pshape).astype(x.data.dtype) + eps)
-        xhat = x.data - running_mean.reshape(pshape).astype(x.data.dtype)
+        xhat = np.subtract(x.data, running_mean.reshape(pshape).astype(x.data.dtype), out=into)
     xhat *= inv_std
-    if not (x.requires_grad or gamma.requires_grad or beta.requires_grad):
+    if no_grad:
         xhat *= gview  # no backward will read xhat: finish in place
         xhat += bview
         return _result(xhat, (x, gamma, beta), None, "batchnorm")

@@ -207,11 +207,11 @@ def write_accuracy_svg(points, path, digest, xlabel="lambda",
 def view_strip(record, cfg: TrainConfig, epoch=0) -> np.ndarray:
     """[S, 4*S, 3] panel row for one image: original | view 1 | view 2 | mixed."""
     size = cfg.augment.output_size
-    trip = make_triplet(record, cfg.augment, cfg.lambda_mix, epoch)
+    trip = make_triplet([record], cfg.augment, cfg.lambda_mix, epoch)
     original = record.pixels
     if original.shape[1:] != (size, size):
-        original = resize_bilinear(original, size, size)
-    tiles = [original, trip.x1, trip.x2, trip.xm]
+        original = resize_bilinear(original[None], size)[0]
+    tiles = [original, trip.x1[0], trip.x2[0], trip.xm[0]]
     return np.concatenate([np.transpose(t, (1, 2, 0)) for t in tiles], axis=1)
 
 

@@ -102,8 +102,8 @@ def extract_features(params: ModelParams, dataset: Dataset, output_size=None,
     for start in range(0, len(records), batch_size):
         batch = records[start:start + batch_size]
         if resize:
-            x = np.stack([resize_bilinear(r.pixels, output_size, output_size)
-                          for r in batch]).astype(dtype)
+            x = np.ascontiguousarray(resize_bilinear(stack_pixels(batch), output_size),
+                                     dtype=dtype)
         else:
             x = stack_pixels(batch, dtype)
         chunks.append(encode(frozen, x, "eval").data)

@@ -162,13 +162,13 @@ def init(encoder: EncoderSpec, predictor: PredictorSpec, seed: int, dtype=np.flo
                        encoder=encoder, predictor=predictor)
 
 
-def _bn(params, prefix, x, mode):
+def _bn(params, prefix, x, mode, overwrite_x=False):
     return ad.batchnorm(x,
                         params.tensors[f"{prefix}.bn.gamma"],
                         params.tensors[f"{prefix}.bn.beta"],
                         params.running[f"{prefix}.bn.mean"],
                         params.running[f"{prefix}.bn.var"],
-                        mode)
+                        mode, overwrite_x=overwrite_x)
 
 
 def encode(params: ModelParams, x, mode: str) -> Tensor:
@@ -176,6 +176,9 @@ def encode(params: ModelParams, x, mode: str) -> Tensor:
 
     `x` is a [B, C, H, W] array or Tensor; the output is NOT normalized
     (normalization belongs to the loss). Train mode requires batch >= 2.
+    Batchnorm and ReLU consume the intermediate they are given: without
+    gradients they work in its buffer, which halves the full-size arrays
+    alive at once in a batch-256 evaluation.
     """
     if not isinstance(x, Tensor):
         x = Tensor(np.asarray(x))
@@ -188,16 +191,16 @@ def encode(params: ModelParams, x, mode: str) -> Tensor:
     for i, stage in enumerate(params.encoder.stages):
         inp = h
         h = ad.conv2d(h, params.tensors[f"backbone.{i}.conv.w"], stride=stage.stride, padding=1)
-        h = _bn(params, f"backbone.{i}", h, mode)
+        h = _bn(params, f"backbone.{i}", h, mode, overwrite_x=True)
         if stage.residual:
             h = h + inp
-        h = h.relu()
+        h = ad.relu(h, overwrite_a=True)
     h = ad.global_avg_pool(h)
     for j in range(3):
         h = ad.matmul(h, params.tensors[f"projector.{j}.w"])
-        h = _bn(params, f"projector.{j}", h, mode)
+        h = _bn(params, f"projector.{j}", h, mode, overwrite_x=True)
         if j < 2:
-            h = h.relu()
+            h = ad.relu(h, overwrite_a=True)
     return h
 
 

@@ -105,6 +105,8 @@ class TrainConfig:
 
 
 RENAMED = {"lam": "lambda"}  # field name -> JSON key
+# a field without a default is typed by its annotation, through this value
+ANNOTATED_DEFAULT = {"bool": False, "int": 0, "float": 0.0, "str": ""}
 
 
 def config_to_dict(cfg):
@@ -118,13 +120,30 @@ def config_to_dict(cfg):
     return cfg
 
 
+def _check_scalar(value, default, where):
+    """Raise ConfigError unless `value` has the type of `default`: a bool
+    field takes only a bool, an int field an int that is not a bool, a
+    float field an int or a float, and a str field a str."""
+    if isinstance(default, bool):
+        ok = isinstance(value, bool)
+    elif isinstance(default, (int, float)):
+        number = (int, float) if isinstance(default, float) else int
+        ok = isinstance(value, number) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, type(default))
+    if not ok:
+        raise ConfigError(f"{where}: expected {type(default).__name__},"
+                          f" got {type(value).__name__} {value!r}")
+
+
 def config_from_dict(payload, cls=TrainConfig, context="config"):
     """Inverse of config_to_dict for the config dataclass `cls`.
 
-    A nested value takes its type from the field's default: a dataclass,
-    or a tuple of dataclasses (EncoderSpec.stages). Where the default is a
-    tuple the value must be a list, which becomes a tuple. Unknown keys
-    raise ConfigError.
+    A value takes its type from the field's default: a dataclass, a tuple
+    of dataclasses (EncoderSpec.stages), a tuple of scalars, or a scalar.
+    Where the default is a tuple the value must be a list, which becomes a
+    tuple, and each item must have the type of the default's first item.
+    A scalar of the wrong type or an unknown key raises ConfigError.
     """
     if not isinstance(payload, dict):
         raise ConfigError(f"{context}: expected an object, got {type(payload).__name__}")
@@ -134,15 +153,24 @@ def config_from_dict(payload, cls=TrainConfig, context="config"):
         raise ConfigError(f"{context}: unknown field(s) {sorted(unknown)}")
     kwargs = {}
     for key, value in payload.items():
-        default, where = fields[key].default, f"{context}.{key}"
+        f, where = fields[key], f"{context}.{key}"
+        default = f.default
+        if default is dataclasses.MISSING:
+            default = ANNOTATED_DEFAULT[f.type]
         if dataclasses.is_dataclass(default):
             value = config_from_dict(value, type(default), where)
         elif isinstance(default, tuple):
             if not isinstance(value, list):
                 raise ConfigError(f"{where}: expected a list, got {type(value).__name__}")
-            item = type(default[0]) if default and dataclasses.is_dataclass(default[0]) else None
-            value = tuple(config_from_dict(v, item, where) if item else v for v in value)
-        kwargs[fields[key].name] = value
+            if default and dataclasses.is_dataclass(default[0]):
+                value = [config_from_dict(v, type(default[0]), where) for v in value]
+            elif default:
+                for i, v in enumerate(value):
+                    _check_scalar(v, default[0], f"{where}[{i}]")
+            value = tuple(value)
+        else:
+            _check_scalar(value, default, where)
+        kwargs[f.name] = value
     try:
         return cls(**kwargs)
     except TypeError as e:
@@ -253,11 +281,8 @@ def train_step(state: TrainState, batch, cfg: TrainConfig, total_steps: int) -> 
     batch-norm gamma/beta and biases.
     """
     params = state.params
-    triplets = [make_triplet(r, cfg.augment, cfg.lambda_mix, state.epoch) for r in batch]
-    dtype = cfg.dtype
-    x1 = np.stack([t.x1 for t in triplets]).astype(dtype)
-    x2 = np.stack([t.x2 for t in triplets]).astype(dtype)
-    xm = np.stack([t.xm for t in triplets]).astype(dtype)
+    views = make_triplet(batch, cfg.augment, cfg.lambda_mix, state.epoch, cfg.dtype)
+    x1, x2, xm = views.x1, views.x2, views.xm
 
     z1 = encode(params, x1, "train")
     z2 = encode(params, x2, "train")

@@ -17,17 +17,9 @@ import time
 
 import numpy as np
 
+from augment_oracle import VIEW1_SLOT, VIEW2_SLOT, augment_view, view_rng
 from mixsiam import autodiff as ad
-from mixsiam.augment import (
-    VIEW1_SLOT,
-    VIEW2_SLOT,
-    AugmentConfig,
-    LambdaMixPolicy,
-    augment_view,
-    make_triplet,
-    mix,
-    view_rng,
-)
+from mixsiam.augment import AugmentConfig, LambdaMixPolicy, make_triplet, mix
 from mixsiam.autodiff import Tensor, backward, tensor
 from mixsiam.cli import main
 from mixsiam.data import (
@@ -285,15 +277,15 @@ def test_criterion_4_mixing_and_aggregation_identities():
     avg_ok = np.array_equal(avg_ab, avg_ba) and np.array_equal(avg_aa, a)
 
     imgs = rng.uniform(size=(2, 3, 8, 8))
-    copy_exact = np.array_equal(mix(imgs[0], imgs[1], 1.0), imgs[0])
+    copy_exact = np.array_equal(mix(imgs[:1], imgs[1:], [1.0]), imgs[:1])
     rec = ImageRecord(pixels=imgs[0], label=0, source_index=0)
-    trip = make_triplet(rec, AugmentConfig(output_size=8, seed=4),
+    trip = make_triplet([rec], AugmentConfig(output_size=8, seed=4),
                         LambdaMixPolicy(kind="fixed", value=1.0), epoch=0)
     triplet_copy = np.array_equal(trip.xm, trip.x1)
 
     lams = rng.uniform(size=1000)
-    swap = all(np.array_equal(mix(a[i % 3:i % 3 + 1], b[i % 3:i % 3 + 1], lam),
-                              mix(b[i % 3:i % 3 + 1], a[i % 3:i % 3 + 1], 1.0 - lam))
+    swap = all(np.array_equal(mix(a[i % 3:i % 3 + 1], b[i % 3:i % 3 + 1], [lam]),
+                              mix(b[i % 3:i % 3 + 1], a[i % 3:i % 3 + 1], [1.0 - lam]))
                for i, lam in enumerate(lams))
 
     ok = all([commut, idem, dominance, avg_ok, copy_exact, triplet_copy, swap])

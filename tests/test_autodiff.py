@@ -87,6 +87,21 @@ def test_relu_is_bitwise_where(dtype):
     assert dx.tobytes() == want.tobytes() and dx.strides == want.strides
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_overwrite_is_bitwise_and_only_without_grad(dtype):
+    rng = np.random.default_rng(8)
+    a = _channels_last(rng.standard_normal((4, 5, 6, 3)).astype(dtype))
+    a.reshape(-1)[:4] = [-0.0, 0.0, np.nan, -np.inf]
+    want = ad.relu(tensor(a))
+    given = a.copy(order="K")
+    out = ad.relu(tensor(given), overwrite_a=True)
+    assert out.data.tobytes() == want.data.tobytes() and out.data.strides == want.data.strides
+    assert np.shares_memory(out.data, given)
+    kept = a.copy(order="K")
+    ad.relu(tensor(kept, requires_grad=True), overwrite_a=True)
+    assert kept.tobytes() == a.tobytes()
+
+
 def test_relu_propagates_nan():
     a = np.array([[np.nan, -1.0, 2.0, -np.nan]])
     for requires_grad in (False, True):
@@ -307,6 +322,19 @@ def test_batchnorm_without_grad_is_bitwise_grad_path(dtype, mode, shape, layout)
     for a, b in zip(bufs[False], bufs[True]):
         assert a.tobytes() == b.tobytes()
     assert fast._backward_fn is None and not fast._parents and not fast.requires_grad
+    # overwrite_x works in x's buffer, with the same bytes and running buffers
+    given = x.copy(order="K")
+    buffers = (rm.copy(), rv.copy())
+    inplace = ad.batchnorm(tensor(given), tensor(gamma), tensor(beta), *buffers, mode,
+                           overwrite_x=True)
+    assert inplace.data.tobytes() == ref.data.tobytes()
+    assert inplace.data.strides == ref.data.strides and np.shares_memory(inplace.data, given)
+    for a, b in zip(buffers, bufs[True]):
+        assert a.tobytes() == b.tobytes()
+    kept = x.copy(order="K")
+    ad.batchnorm(tensor(kept), tensor(gamma, requires_grad=True), tensor(beta), rm.copy(),
+                 rv.copy(), mode, overwrite_x=True)
+    assert kept.tobytes() == x.tobytes()  # a gradient needs x: no overwrite
 
 
 def test_batchnorm_rejects_singleton_train_batch():

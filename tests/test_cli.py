@@ -97,6 +97,28 @@ def test_train_unknown_field_exits_2(tmp_path, capsys):
     assert "unknown field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key, value, message", [
+    ("augment", "crop_scale_range", [0.2, 0.5, 1.0], "crop_scale_range"),
+    ("augment", "aspect_ratio_range", [1.0], "aspect_ratio_range"),
+    ("augment", "output_size", 31.5, "config.augment.output_size"),
+    (None, "batch_size", 32.5, "config.batch_size"),
+    (None, "epochs", 1.5, "config.epochs"),
+    ("dataset", "per_class", 10.5, "config.dataset.per_class"),
+    (None, "seed", "x", "config.seed"),
+    ("augment", "seed", "x", "config.augment.seed"),
+    (None, "stop_gradient", "no", "config.stop_gradient"),
+])
+def test_train_field_of_the_wrong_shape_or_type_exits_2(tmp_path, capsys, section, key,
+                                                        value, message):
+    payload = config_to_dict(shared_tiny_config())
+    (payload[section] if section else payload)[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["train", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_train_requires_config_flag(tmp_path, capsys):
     assert main(["train", "--out", str(tmp_path / "o")]) == 2
     assert "--config" in capsys.readouterr().err
@@ -383,7 +405,7 @@ def test_sweep_lambda_one_cell_matches_plain_two_view_run(tmp_path):
     # loop that never builds a mixed view, seeded with the cell's derived
     # seed, must reproduce the cell's logged l_siam column bitwise.
     import mixsiam.autodiff as ad
-    from mixsiam.augment import VIEW1_SLOT, VIEW2_SLOT, augment_view, view_rng
+    from augment_oracle import VIEW1_SLOT, VIEW2_SLOT, augment_view, view_rng
     from mixsiam.data import batches
     from mixsiam.loss import siam_loss
     from mixsiam.model import encode, init, predict
@@ -472,12 +494,13 @@ def test_dump_views_end_to_end(tmp_path):
 
     # the mixed panel is the quantized fixed-lambda blend of the two views
     ds = cfg.dataset.build()
-    trip = make_triplet(ds.records[0], cfg.augment, cfg.lambda_mix, 0)
-    for col, tile in enumerate((trip.x1, trip.x2, trip.xm), start=1):
+    trip = make_triplet(ds.records[:1], cfg.augment, cfg.lambda_mix, 0)
+    x1, x2, xm = trip.x1[0], trip.x2[0], trip.xm[0]
+    for col, tile in enumerate((x1, x2, xm), start=1):
         want = np.round(np.clip(np.transpose(tile, (1, 2, 0)), 0, 1) * 255).astype(np.uint8)
         got = pixels[:, col * size:(col + 1) * size]
         assert np.array_equal(got, want), f"panel {col}"
-    blend = 0.5 * trip.x1 + 0.5 * trip.x2
+    blend = 0.5 * x1 + 0.5 * x2
     want = np.round(np.clip(np.transpose(blend, (1, 2, 0)), 0, 1) * 255).astype(np.uint8)
     assert np.array_equal(pixels[:, 3 * size:4 * size], want)
 

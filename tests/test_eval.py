@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import augment_oracle as oracle
 from conftest import tiny_config
 from mixsiam import eval as eval_module
 from mixsiam.data import SyntheticConfig, load_cifar10, make_synthetic, write_cifar10_batch
@@ -298,6 +299,22 @@ def test_extract_features_resizes_when_needed():
     assert feats.shape == (6, 8)
     assert labels.shape == (6,)
     assert np.all(np.isfinite(feats))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("source", ["synthetic", "cifar10"])
+def test_extract_features_resize_is_bitwise_per_record_oracle(tmp_path, dtype, source):
+    # the resize branch runs the batched full-window resize; the encoder
+    # must see the bytes a per-record resize of each image gives
+    ds = make_synthetic(SyntheticConfig(classes=3, per_class=7, size=32, seed=3))
+    if source == "cifar10":
+        write_cifar10_batch(ds.records, tmp_path / "test_batch.bin")
+        ds = load_cifar10(tmp_path, split="test")
+    params = init(EncoderSpec.small(), PredictorSpec.small(), seed=4, dtype=dtype)
+    feats, _ = extract_features(params, ds, output_size=16, batch_size=8)
+    x = np.stack([oracle.resize_bilinear(r.pixels, 16, 16) for r in ds.records]).astype(dtype)
+    want = np.concatenate([encode(params, x[s:s + 8], "eval").data for s in range(0, 21, 8)])
+    assert feats.tobytes() == want.tobytes()
 
 
 # -- packaged evaluation -----------------------------------------------------

@@ -14,22 +14,20 @@ import platform
 import struct
 import subprocess
 import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import augment_oracle as oracle
+from augment_oracle import VIEW1_SLOT, VIEW2_SLOT, augment_view, view_rng
 from conftest import tiny_config
 from mixsiam import autodiff as ad
 from mixsiam import train as train_module
-from mixsiam.augment import (
-    VIEW1_SLOT,
-    VIEW2_SLOT,
-    LambdaMixPolicy,
-    augment_view,
-    view_rng,
-)
+from mixsiam.augment import LambdaMixPolicy
 from mixsiam.cli import main
 from mixsiam.data import SyntheticConfig, batches, make_synthetic
 from mixsiam.errors import ConfigError, ParseError, TrainingAborted
@@ -160,6 +158,71 @@ def test_config_rejects_a_non_list_for_a_tuple_field(payload):
         config_from_dict(payload)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("batch_size", 32.5),
+    ("epochs", 1.5),
+    ("epochs", True),
+    ("dataset.per_class", 10.5),
+    ("seed", "x"),
+    ("augment.seed", "x"),
+    ("augment.output_size", 31.5),
+    ("stop_gradient", "no"),
+    ("stop_gradient", 0),
+    ("lambda", True),
+    ("lambda", "0.5"),
+    ("aggregation.kind", 3),
+    ("encoder.projector", [32, 32.5, 32]),
+    ("augment.crop_scale_range", [0.2, "1"]),
+    ("encoder.stages", [{"channels": 16.0}]),
+])
+def test_config_rejects_a_scalar_of_the_wrong_type(key, value):
+    payload = config_to_dict(TrainConfig())
+    *parents, leaf = key.split(".")
+    node = payload
+    for part in parents:
+        node = node[part]
+    node[leaf] = value
+    with pytest.raises(ConfigError, match=rf"config\.{key.replace('.', '[.]')}"):
+        config_from_dict(payload)
+
+
+def test_config_float_field_takes_an_int():
+    cfg = config_from_dict({"lambda": 1, "augment": {"blur_sigma_range": [1, 2]}})
+    assert cfg.lam == 1 and cfg.augment.blur_sigma_range == (1, 2)
+
+
+_json_scalars = (st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+                 | st.floats(allow_nan=False, allow_infinity=False))
+_json_values = _json_scalars | st.lists(_json_scalars, max_size=4)
+
+
+def _paths(node, prefix=()):
+    """Every key path into a JSON document, containers included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+SMALL_CONFIG = json.loads(
+    (Path(__file__).resolve().parent.parent / "configs" / "synthetic_small.json").read_text())
+
+
+@given(path=st.sampled_from(sorted(_paths(SMALL_CONFIG), key=str)), value=_json_values)
+@settings(max_examples=300, deadline=None)
+def test_config_with_any_json_value_in_any_field_loads_or_raises_config_error(path, value):
+    payload = json.loads(json.dumps(SMALL_CONFIG))
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    try:
+        config_from_dict(payload)
+    except ConfigError:
+        pass
+
+
 def test_config_hash_is_stable_and_sensitive():
     a = config_hash(tiny_config())
     b = config_hash(tiny_config())
@@ -189,6 +252,40 @@ def test_train_config_validation():
         tiny_config(precision=16)
     assert tiny_config().dtype is np.float64
     assert tiny_config(precision=32).dtype is np.float32
+
+
+# -- batched augmentation against the per-record oracle ---------------------
+
+
+def oracle_make_triplet(records, cfg, policy, epoch, dtype=np.float64):
+    """The views as train_step built them before augmentation was batched:
+    one oracle triplet per record, stacked, then cast."""
+    trips = [oracle.make_triplet(r, cfg, policy, epoch) for r in records]
+    return SimpleNamespace(**{name: np.stack([getattr(t, name) for t in trips]).astype(dtype)
+                              for name in ("x1", "x2", "xm")})
+
+
+@pytest.mark.parametrize("cfg", [
+    tiny_config(),
+    tiny_config(precision=32, lambda_mix=LambdaMixPolicy(kind="beta", alpha=0.5),
+                dataset=DatasetConfig(classes=2, per_class=5, size=12, seed=3),
+                augment=train_module.AugmentConfig(output_size=9, blur_prob=0.9, seed=2)),
+], ids=["float64", "float32_odd_size"])
+def test_train_steps_match_the_per_record_oracle_views(monkeypatch, cfg):
+    ds = cfg.dataset.build()
+
+    def steps():
+        state = TrainState.fresh(cfg)
+        rows = []
+        for epoch in range(2):
+            state.epoch = epoch
+            for batch in batches(ds, cfg.batch_size, cfg.seed, epoch):
+                rows.append(train_step(state, batch, cfg, total_steps=10).row())
+        return rows, {n: t.data.tobytes() for n, t in state.params.named()}
+
+    batched = steps()
+    monkeypatch.setattr(train_module, "make_triplet", oracle_make_triplet)
+    assert steps() == batched
 
 
 # -- SGD update oracle -----------------------------------------------------
