@@ -12,7 +12,7 @@ import argparse
 import dataclasses
 import tempfile
 
-from mixsiam.eval import ProbeConfig, eval_datasets, evaluate
+from mixsiam.eval import eval_datasets, evaluate
 from mixsiam.train import DatasetConfig, TrainConfig, run
 
 
@@ -52,7 +52,7 @@ if __name__ == "__main__":
     for label, cfg in [("intact", base),
                        ("no stop-grad", dataclasses.replace(base, stop_gradient=False))]:
         state, traj = spread_trajectory(cfg, train_ds)
-        report = evaluate(state.params, cfg, train_ds, test_ds, ProbeConfig())
+        report = evaluate(state.params, cfg, train_ds, test_ds)
         path = " -> ".join(f"{v:.4f}" for v in traj)
         print(f"{label:>13}: per-epoch spread {path}")
         print(f"{'':>13}  final embedding_std {report.embedding_std:.4f}, "

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ShapeError
 
-# Config-visible numeric constants (see also TrainConfig.precision).
+# Numeric constants shared by every run.
 L2_NORM_EPS = 1e-12
 BATCHNORM_EPS = 1e-5
 BATCHNORM_MOMENTUM = 0.1
@@ -255,18 +255,19 @@ def tensor_sum(a):
                    lambda g: (np.broadcast_to(g, a.data.shape),), "sum")
 
 
-def l2_normalize(x, eps=L2_NORM_EPS):
-    """Divide each row of a [B, D] tensor by max(||row||, eps).
+def l2_normalize(x):
+    """Divide each row of a [B, D] tensor by max(||row||, L2_NORM_EPS).
 
     Rows clamped at the floor get a zero gradient (the safe-norm
     subgradient choice). The function is not differentiable there, and
-    the one-sided slope 1/eps would inject enormous updates whenever a
-    row collapses to zero — e.g. a prediction row whose hidden units all
-    died at the ReLU, which is exactly the zero bias at initialization.
+    the one-sided slope 1/L2_NORM_EPS would inject enormous updates
+    whenever a row collapses to zero — e.g. a prediction row whose hidden
+    units all died at the ReLU, which is exactly the zero bias at
+    initialization.
     """
     if x.data.ndim != 2:
         raise ShapeError(f"l2_normalize: expected [B, D], got shape {x.data.shape}")
-    eps = x.data.dtype.type(eps)
+    eps = x.data.dtype.type(L2_NORM_EPS)
     norms = np.sqrt(np.sum(x.data * x.data, axis=1, keepdims=True))
     denom = np.maximum(norms, eps)
     y = x.data / denom
@@ -282,12 +283,11 @@ def l2_normalize(x, eps=L2_NORM_EPS):
 # -- normalization ----------------------------------------------------
 
 
-def batchnorm(x, gamma, beta, running_mean, running_var, mode,
-              momentum=BATCHNORM_MOMENTUM, eps=BATCHNORM_EPS, overwrite_x=False):
+def batchnorm(x, gamma, beta, running_mean, running_var, mode, overwrite_x=False):
     """Batch normalization over a [B, D] or [B, C, H, W] tensor.
 
     Train mode normalizes with biased batch statistics and updates the
-    running buffers in place (unbiased variance, momentum as given); eval
+    running buffers in place (unbiased variance, BATCHNORM_MOMENTUM); eval
     mode reads the running buffers. `running_mean`/`running_var` are plain
     numpy arrays, not graph tensors. With `overwrite_x`, a call that needs
     no gradient normalizes in x's own buffer; the caller gives `x` up.
@@ -307,7 +307,7 @@ def batchnorm(x, gamma, beta, running_mean, running_var, mode,
     if mode not in ("train", "eval"):
         raise ValueError(f"batchnorm: unknown mode {mode!r}")
 
-    eps = x.data.dtype.type(eps)
+    eps = x.data.dtype.type(BATCHNORM_EPS)
     gview = gamma.data.reshape(pshape)
     bview = beta.data.reshape(pshape)
     no_grad = not (x.requires_grad or gamma.requires_grad or beta.requires_grad)
@@ -325,11 +325,11 @@ def batchnorm(x, gamma, beta, running_mean, running_var, mode,
         xhat = np.subtract(x.data, mu, out=into)  # centred once; becomes xhat in place below
         var = np.mean(np.square(xhat), axis=axes, keepdims=True)
         inv_std = 1.0 / np.sqrt(var + eps)
-        running_mean *= (1.0 - momentum)
-        running_mean += momentum * mu.reshape(-1).astype(running_mean.dtype)
+        running_mean *= (1.0 - BATCHNORM_MOMENTUM)
+        running_mean += BATCHNORM_MOMENTUM * mu.reshape(-1).astype(running_mean.dtype)
         unbiased = var.reshape(-1) * (n / (n - 1))
-        running_var *= (1.0 - momentum)
-        running_var += momentum * unbiased.astype(running_var.dtype)
+        running_var *= (1.0 - BATCHNORM_MOMENTUM)
+        running_var += BATCHNORM_MOMENTUM * unbiased.astype(running_var.dtype)
     else:
         inv_std = 1.0 / np.sqrt(running_var.reshape(pshape).astype(x.data.dtype) + eps)
         xhat = np.subtract(x.data, running_mean.reshape(pshape).astype(x.data.dtype), out=into)

@@ -24,13 +24,7 @@ import numpy as np
 
 from .augment import LambdaMixPolicy, make_triplet, resize_bilinear
 from .errors import ConfigError, ParseError, TrainingAborted
-from .eval import (
-    ProbeConfig,
-    eval_datasets,
-    evaluate,
-    write_per_class_csv,
-    write_report,
-)
+from .eval import eval_datasets, evaluate, write_per_class_csv, write_report
 from .loss import AGGREGATION_KINDS, AggregationStrategy
 from .train import (
     TrainConfig,
@@ -126,11 +120,7 @@ def cell_config(base: TrainConfig, aggregation: str, mixture: str, seed: int) ->
     """One ablation cell: swap the aggregation rule and, for no_mixture,
     replace the mixed view with a per-sample coin flip between the two
     plain views (lambda drawn from {0, 1})."""
-    cfg = dataclasses.replace(
-        base,
-        aggregation=AggregationStrategy(
-            kind=aggregation,
-            none_branch_policy=base.aggregation.none_branch_policy))
+    cfg = dataclasses.replace(base, aggregation=AggregationStrategy(kind=aggregation))
     if mixture == "no_mixture":
         cfg = dataclasses.replace(cfg, lambda_mix=LambdaMixPolicy(kind="pick_view"))
     return _with_seed(cfg, seed)
@@ -153,9 +143,9 @@ def write_ppm(pixels: np.ndarray, path, comment: str = ""):
         f.write(body.tobytes())
 
 
-def write_accuracy_svg(points, path, digest, xlabel="lambda",
-                       ylabel="knn top-1", title="accuracy vs lambda"):
-    """Small self-contained line plot: one marker per (x, accuracy) pair."""
+def write_accuracy_svg(points, path, digest):
+    """Small self-contained line plot of linear-probe accuracy against
+    lambda: one marker per (lambda, accuracy) pair."""
     width, height = 640, 400
     ml, mr, mt, mb = 70, 25, 45, 55
     xs = [p[0] for p in points]
@@ -173,13 +163,14 @@ def write_accuracy_svg(points, path, digest, xlabel="lambda",
         f'font-family="monospace" font-size="13">',
         f"<!-- config_hash={digest} -->",
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width/2:.1f}" y="24" text-anchor="middle" font-size="16">{title}</text>',
+        f'<text x="{width/2:.1f}" y="24" text-anchor="middle" font-size="16">'
+        'accuracy vs lambda</text>',
         # axes
         f'<line x1="{ml}" y1="{py(0)}" x2="{width-mr}" y2="{py(0)}" stroke="black"/>',
         f'<line x1="{ml}" y1="{py(0)}" x2="{ml}" y2="{py(1)}" stroke="black"/>',
-        f'<text x="{(ml+width-mr)/2:.1f}" y="{height-12}" text-anchor="middle">{xlabel}</text>',
+        f'<text x="{(ml+width-mr)/2:.1f}" y="{height-12}" text-anchor="middle">lambda</text>',
         f'<text x="18" y="{(py(0)+py(1))/2:.1f}" text-anchor="middle" '
-        f'transform="rotate(-90 18 {(py(0)+py(1))/2:.1f})">{ylabel}</text>',
+        f'transform="rotate(-90 18 {(py(0)+py(1))/2:.1f})">linear top-1</text>',
     ]
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         y = py(frac)
@@ -198,7 +189,7 @@ def write_accuracy_svg(points, path, digest, xlabel="lambda",
                  f'stroke-width="2"/>')
     for x, a in points:
         parts.append(f'<circle cx="{px(x):.1f}" cy="{py(a):.1f}" r="4" fill="steelblue">'
-                     f'<title>{xlabel}={x:g}: {a:.4f}</title></circle>')
+                     f'<title>lambda={x:g}: {a:.4f}</title></circle>')
     parts.append("</svg>")
     with open(path, "w") as f:
         f.write("\n".join(parts) + "\n")
@@ -280,14 +271,13 @@ def _write_report_files(report, cfg, out_dir, **extra):
 def _train_and_evaluate(cfg, datasets, out_dir, resume=None):
     train_ds, test_ds = datasets
     state = run(cfg, train_ds, out_dir, resume=resume)
-    report = evaluate(state.params, cfg, train_ds, test_ds, ProbeConfig())
+    report = evaluate(state.params, cfg, train_ds, test_ds)
     _write_report_files(report, cfg, out_dir)
     return report
 
 
 def cmd_train(args) -> int:
     cfg = _load_train_config(args)
-    os.makedirs(args.out, exist_ok=True)
     if args.resume and not os.path.exists(args.resume):
         raise ConfigError(f"resume checkpoint not found: {args.resume}")
     report = _train_and_evaluate(cfg, eval_datasets(cfg.dataset), args.out, resume=args.resume)
@@ -302,10 +292,10 @@ def cmd_eval(args) -> int:
         raise ConfigError("eval requires --resume CHECKPOINT")
     if not os.path.exists(args.resume):
         raise ConfigError(f"checkpoint not found: {args.resume}")
-    os.makedirs(args.out, exist_ok=True)
     state, cfg = load_checkpoint(args.resume)
     train_ds, test_ds = eval_datasets(cfg.dataset)
-    report = evaluate(state.params, cfg, train_ds, test_ds, ProbeConfig())
+    os.makedirs(args.out, exist_ok=True)
+    report = evaluate(state.params, cfg, train_ds, test_ds)
     _write_report_files(report, cfg, args.out, checkpoint=os.path.abspath(args.resume))
     print(f"eval done: knn_top1={report.knn_top1:.4f} "
           f"linear_top1={report.linear_top1:.4f} -> {args.out}")
@@ -412,11 +402,11 @@ def cmd_sweep_lambda(args) -> int:
 
 
 def cmd_dump_views(args) -> int:
-    cfg = _load_train_config(args)
-    os.makedirs(args.out, exist_ok=True)
-    dataset = cfg.dataset.build()
     if args.count < 1:
         raise ConfigError(f"--count must be positive, got {args.count}")
+    cfg = _load_train_config(args)
+    dataset = cfg.dataset.build()
+    os.makedirs(args.out, exist_ok=True)
     count = min(args.count, len(dataset))
     comment = f"config_hash={config_hash(cfg)}"
     for i, record in enumerate(dataset.records[:count]):

@@ -1,6 +1,11 @@
 """Frozen-encoder evaluation: feature extraction, a k-NN probe, a linear
 probe, and the packaged EvalReport.
 
+The protocol is fixed, as in SimSiam's frozen-encoder evaluation: a
+k-NN probe with k = PROBE_K, and a softmax-regression probe trained for
+PROBE_EPOCHS epochs of PROBE_BATCH-row batches by SGD with momentum under
+a cosine schedule from PROBE_LR, its batch order shuffled from PROBE_SEED.
+
 Both probes treat the encoder as read-only — evaluate() checksums the
 parameters before and after and refuses to return if they moved. The k-NN
 probe is exactly reproducible: similarity ties resolve by training-set
@@ -24,30 +29,19 @@ from .model import ModelParams, encode, init
 from .train import (
     DatasetConfig,
     TrainConfig,
+    apply_sgd,
     config_to_dict,
     cosine_lr,
     embedding_std,
+    unit_rows,
 )
 
-
-@dataclass(frozen=True)
-class ProbeConfig:
-    k: int = 20
-    linear_lr: float = 0.02
-    linear_momentum: float = 0.9
-    linear_batch: int = 256
-    linear_epochs: int = 30
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ConfigError(f"probe k must be >= 1, got {self.k}")
-        if self.linear_lr <= 0:
-            raise ConfigError(f"linear_lr must be > 0, got {self.linear_lr}")
-        if self.linear_batch < 1:
-            raise ConfigError(f"linear_batch must be >= 1, got {self.linear_batch}")
-        if self.linear_epochs < 1:
-            raise ConfigError(f"linear_epochs must be >= 1, got {self.linear_epochs}")
+PROBE_K = 20             # k-NN neighbours (fewer when the training set is smaller)
+PROBE_LR = 0.02          # linear probe: peak learning rate of the cosine schedule
+PROBE_MOMENTUM = 0.9
+PROBE_BATCH = 256
+PROBE_EPOCHS = 30
+PROBE_SEED = 0           # linear probe: seed of the per-epoch batch shuffles
 
 
 @dataclass(frozen=True)
@@ -116,16 +110,15 @@ KNN_CHUNK = 256  # query rows ranked per similarity block
 
 
 def _normalized(feats, name):
-    f = np.asarray(feats, dtype=np.float64)
+    f = np.asarray(feats)
     if f.ndim != 2:
         raise ShapeError(f"{name}: expected [N, D] features, got shape {f.shape}")
     if f.shape[0] == 0:
         raise ConfigError(f"{name}: empty feature set")
-    norms = np.maximum(np.linalg.norm(f, axis=1, keepdims=True), ad.L2_NORM_EPS)
-    return f / norms
+    return unit_rows(f)
 
 
-def knn_predict(train_feats, train_labels, test_feats, k=20, class_count=None):
+def knn_predict(train_feats, train_labels, test_feats, k=PROBE_K, class_count=None):
     """Majority vote over the k most cosine-similar training features.
 
     Deterministic by construction: similarity ties keep training-set
@@ -189,7 +182,7 @@ def _k_smallest(d, k):
     return mask
 
 
-def knn_probe(train_feats, train_labels, test_feats, test_labels, k=20) -> float:
+def knn_probe(train_feats, train_labels, test_feats, test_labels, k=PROBE_K) -> float:
     preds = knn_predict(train_feats, train_labels, test_feats, k=k)
     return float(np.mean(preds == np.asarray(test_labels)))
 
@@ -197,14 +190,13 @@ def knn_probe(train_feats, train_labels, test_feats, test_labels, k=20) -> float
 # -- linear probe ------------------------------------------------------------
 
 
-def linear_probe(train_feats, train_labels, test_feats, test_labels,
-                 class_count, probe: ProbeConfig = ProbeConfig()):
+def linear_probe(train_feats, train_labels, test_feats, test_labels, class_count):
     """Softmax regression on frozen features.
 
-    One linear layer trained with SGD + momentum under a cosine schedule;
-    no weight decay. The final (short) batch of each epoch is kept — there
-    is no batch statistic anywhere in the probe to make it degenerate.
-    Returns (top-1 accuracy, predictions).
+    One linear layer trained with the trainer's SGD + momentum (apply_sgd,
+    no weight decay) under a cosine schedule. The final (short) batch of
+    each epoch is kept — there is no batch statistic anywhere in the probe
+    to make it degenerate. Returns (top-1 accuracy, predictions).
     """
     X = np.asarray(train_feats, dtype=np.float64)
     y = np.asarray(train_labels)
@@ -218,28 +210,23 @@ def linear_probe(train_feats, train_labels, test_feats, test_labels,
 
     w = Tensor(np.zeros((dim, class_count)), requires_grad=True)
     b = Tensor(np.zeros(class_count), requires_grad=True)
-    vel = {"w": np.zeros_like(w.data), "b": np.zeros_like(b.data)}
-    steps_per_epoch = -(-n // probe.linear_batch)
-    total_steps = steps_per_epoch * probe.linear_epochs
-    momentum = np.float64(probe.linear_momentum)
+    tensors = {"w": w, "b": b}
+    velocity = {name: np.zeros_like(t.data) for name, t in tensors.items()}
+    total_steps = -(-n // PROBE_BATCH) * PROBE_EPOCHS
 
     step = 0
-    for epoch in range(probe.linear_epochs):
-        perm = np.random.default_rng([probe.seed, epoch]).permutation(n)
-        for start in range(0, n, probe.linear_batch):
-            idx = perm[start:start + probe.linear_batch]
+    for epoch in range(PROBE_EPOCHS):
+        perm = np.random.default_rng([PROBE_SEED, epoch]).permutation(n)
+        for start in range(0, n, PROBE_BATCH):
+            idx = perm[start:start + PROBE_BATCH]
             logits = ad.add_bias(ad.matmul(Tensor(X[idx]), w), b)
             loss = ad.softmax_cross_entropy(logits, y[idx])
             if not np.isfinite(loss.data):
                 raise TrainingAborted(
                     f"linear probe: non-finite loss at step {step}")
             ad.backward(loss)
-            lr = np.float64(cosine_lr(step, total_steps, probe.linear_lr))
-            for t, buf in ((w, vel["w"]), (b, vel["b"])):
-                buf *= momentum
-                buf += t.grad
-                t.data -= lr * buf
-                t.grad = None
+            apply_sgd(tensors, velocity, cosine_lr(step, total_steps, PROBE_LR),
+                      PROBE_MOMENTUM, 0.0, step=step)
             step += 1
 
     preds = np.argmax(Xt @ w.data + b.data, axis=1)
@@ -265,7 +252,7 @@ def eval_datasets(dataset_cfg: DatasetConfig):
 
 
 def evaluate(params: ModelParams, cfg: TrainConfig, train_ds: Dataset,
-             test_ds: Dataset, probe: ProbeConfig = ProbeConfig()) -> EvalReport:
+             test_ds: Dataset) -> EvalReport:
     """Run both probes on frozen features and package the result.
 
     The per-class accuracies are exact decompositions: their count-weighted
@@ -276,12 +263,12 @@ def evaluate(params: ModelParams, cfg: TrainConfig, train_ds: Dataset,
     feats_train, y_train = extract_features(params, train_ds, output_size=size)
     feats_test, y_test = extract_features(params, test_ds, output_size=size)
 
-    k = min(probe.k, feats_train.shape[0])
+    k = min(PROBE_K, feats_train.shape[0])
     knn_preds = knn_predict(feats_train, y_train, feats_test, k=k,
                             class_count=test_ds.class_count)
     lin_top1, lin_preds = linear_probe(
         feats_train, y_train, feats_test, y_test,
-        class_count=test_ds.class_count, probe=probe)
+        class_count=test_ds.class_count)
 
     per_class = {}
     for c in range(test_ds.class_count):
@@ -305,12 +292,12 @@ def evaluate(params: ModelParams, cfg: TrainConfig, train_ds: Dataset,
     )
 
 
-def random_baseline_report(cfg: TrainConfig, train_ds: Dataset, test_ds: Dataset,
-                           probe: ProbeConfig = ProbeConfig(), seed_offset=1) -> EvalReport:
-    """The same evaluation on a freshly initialized (untrained) encoder."""
-    params = init(cfg.encoder, cfg.predictor, seed=cfg.seed + seed_offset,
-                  dtype=cfg.dtype)
-    return evaluate(params, cfg, train_ds, test_ds, probe)
+def random_baseline_report(cfg: TrainConfig, train_ds: Dataset,
+                           test_ds: Dataset) -> EvalReport:
+    """The same evaluation on a freshly initialized (untrained) encoder,
+    drawn from seed cfg.seed + 1 so that it is not the trained run's start."""
+    params = init(cfg.encoder, cfg.predictor, seed=cfg.seed + 1, dtype=cfg.dtype)
+    return evaluate(params, cfg, train_ds, test_ds)
 
 
 def write_report(report: EvalReport, path, **extra):

@@ -15,7 +15,6 @@ from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
 
 AGGREGATION_KINDS = ("maximum", "average", "none")
-NONE_BRANCH_POLICIES = ("always_first", "seeded_random")
 
 
 @dataclass(frozen=True)
@@ -23,19 +22,14 @@ class AggregationStrategy:
     """How the two view embeddings combine into the mixed-branch target z_f.
 
     "maximum" is the element-wise max, "average" the arithmetic mean, and
-    "none" adopts a single branch: always z1 under always_first, or a
-    per-call seeded coin flip under seeded_random.
+    "none" adopts the first view's embedding z1.
     """
 
     kind: str = "maximum"
-    none_branch_policy: str = "always_first"
 
     def __post_init__(self):
         if self.kind not in AGGREGATION_KINDS:
             raise ConfigError(f"aggregation kind must be one of {AGGREGATION_KINDS}, got {self.kind!r}")
-        if self.none_branch_policy not in NONE_BRANCH_POLICIES:
-            raise ConfigError(
-                f"none_branch_policy must be one of {NONE_BRANCH_POLICIES}, got {self.none_branch_policy!r}")
 
 
 @dataclass(frozen=True)
@@ -76,18 +70,14 @@ def siam_loss(p1, p2, z1, z2, stop_gradient=True) -> Tensor:
     return neg_cosine(p1, t2) * 0.5 + neg_cosine(p2, t1) * 0.5
 
 
-def aggregate(z1: Tensor, z2: Tensor, strategy: AggregationStrategy, rng=None) -> Tensor:
+def aggregate(z1: Tensor, z2: Tensor, strategy: AggregationStrategy) -> Tensor:
     """z_f from the two view embeddings. The caller detaches the result
     before feeding mix_loss."""
     if strategy.kind == "maximum":
         return ad.maximum(z1, z2)
     if strategy.kind == "average":
         return (z1 + z2) * 0.5
-    if strategy.none_branch_policy == "always_first":
-        return z1
-    if rng is None:
-        raise ConfigError("aggregate: seeded_random branch policy needs an rng")
-    return z1 if int(rng.integers(0, 2)) == 0 else z2
+    return z1
 
 
 def mix_loss(p_m: Tensor, z_f_detached: Tensor) -> Tensor:

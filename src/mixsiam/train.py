@@ -30,7 +30,6 @@ from .model import EncoderSpec, ModelParams, PredictorSpec, encode, init, predic
 CHECKPOINT_MAGIC = b"MXSM"
 CHECKPOINT_VERSION = 1
 LOSS_TAIL_LEN = 50
-AGG_SLOT = 3  # rng slot for the seeded_random aggregation coin (views use 0..2)
 
 
 @dataclass(frozen=True)
@@ -192,15 +191,19 @@ def cosine_lr(step: int, total_steps: int, lr_base: float) -> float:
     return float(lr_base * 0.5 * (1.0 + np.cos(np.pi * step / total_steps)))
 
 
+def unit_rows(z) -> np.ndarray:
+    """The rows of `z` in float64, each divided by max(||row||, L2_NORM_EPS)."""
+    z = np.asarray(z, dtype=np.float64)
+    return z / np.maximum(np.linalg.norm(z, axis=1, keepdims=True), ad.L2_NORM_EPS)
+
+
 def embedding_std(z: np.ndarray) -> float:
     """Collapse sentinel: mean per-dimension std of L2-normalized rows.
 
     A constant representation drives this to 0; a healthy, spread-out one
     keeps it near the isotropic ceiling 1/sqrt(dim).
     """
-    z = np.asarray(z, dtype=np.float64)
-    norms = np.maximum(np.linalg.norm(z, axis=1, keepdims=True), ad.L2_NORM_EPS)
-    return float((z / norms).std(axis=0).mean())
+    return float(unit_rows(z).std(axis=0).mean())
 
 
 @dataclass(frozen=True)
@@ -241,20 +244,21 @@ def _check_finite(name, arr, step):
         raise TrainingAborted(f"non-finite values in {name} at step {step}")
 
 
-def apply_sgd(params: ModelParams, velocity: dict, lr: float, momentum: float,
-              weight_decay: float, step: int = 0) -> float:
-    """SGD with momentum, consuming .grad on every parameter tensor.
+def apply_sgd(tensors: dict, velocity: dict, lr: float, momentum: float,
+              weight_decay: float, no_decay=frozenset(), step: int = 0) -> float:
+    """SGD with momentum, consuming .grad on every tensor of `tensors`
+    (name -> Tensor).
 
-    For each parameter:  buf = momentum*buf + (grad + wd*param);
-    param -= lr*buf.  Weight decay is skipped for names in params.no_decay
-    (batchnorm scales/shifts and biases).  Mutates data and velocity in
-    place, clears grads, and returns the squared global gradient norm
-    (pre-decay, accumulated in float64).  A missing grad counts as zero;
-    a non-finite grad raises TrainingAborted.
+    For each tensor:  buf = momentum*buf + (grad + wd*param);
+    param -= lr*buf.  Weight decay is skipped for names in `no_decay`
+    (the model's batchnorm scales/shifts and biases).  Mutates data and
+    velocity in place, clears grads, and returns the squared global
+    gradient norm (pre-decay, accumulated in float64).  A missing grad
+    counts as zero; a non-finite grad raises TrainingAborted.
     """
     dtype = None
     sq_norm = 0.0
-    for name, t in params.named():
+    for name, t in tensors.items():
         if dtype is None:
             dtype = t.data.dtype.type
         g = t.grad
@@ -262,7 +266,7 @@ def apply_sgd(params: ModelParams, velocity: dict, lr: float, momentum: float,
             g = np.zeros_like(t.data)
         _check_finite(f"gradient of {name}", g, step)
         sq_norm += float(np.sum(np.asarray(g, dtype=np.float64) ** 2))
-        if weight_decay and name not in params.no_decay:
+        if weight_decay and name not in no_decay:
             g = g + dtype(weight_decay) * t.data
         buf = velocity[name]
         buf *= dtype(momentum)
@@ -291,9 +295,8 @@ def train_step(state: TrainState, batch, cfg: TrainConfig, total_steps: int) -> 
     zm = encode(params, xm, "train")
     pm = predict(params, zm, "train")
 
-    agg_rng = np.random.default_rng([cfg.seed, state.epoch, state.step, AGG_SLOT])
     l_siam = siam_loss(p1, p2, z1, z2, stop_gradient=cfg.stop_gradient)
-    z_f = aggregate(z1, z2, cfg.aggregation, agg_rng)
+    z_f = aggregate(z1, z2, cfg.aggregation)
     # without stop-gradient (the collapse ablation) the target stays attached
     l_mix = mix_loss(pm, z_f.detach()) if cfg.stop_gradient else neg_cosine(pm, z_f)
     total, breakdown = total_loss(l_siam, l_mix, cfg.lam)
@@ -302,8 +305,8 @@ def train_step(state: TrainState, batch, cfg: TrainConfig, total_steps: int) -> 
     ad.backward(total)
 
     lr = cosine_lr(state.step, total_steps, cfg.lr_base)
-    sq_norm = apply_sgd(params, state.velocity, lr, cfg.momentum,
-                        cfg.weight_decay, step=state.step)
+    sq_norm = apply_sgd(params.tensors, state.velocity, lr, cfg.momentum,
+                        cfg.weight_decay, params.no_decay, step=state.step)
 
     metrics = StepMetrics(
         step=state.step, epoch=state.epoch, lr=lr,
@@ -328,7 +331,7 @@ def _manifest(state: TrainState, cfg: TrainConfig):
     """The payload dtype of `cfg`, and (entry, array) pairs in the fixed
     serialization order, where `entry` is the header's record of the array:
     kind, name, shape, and the byte offset and length of its payload bytes."""
-    dtype = np.dtype("<f4" if cfg.precision == 32 else "<f8")
+    dtype = np.dtype(cfg.dtype).newbyteorder("<")
     arrays = ([("param", name, t.data) for name, t in state.params.named()]
               + [("velocity", name, state.velocity[name]) for name, _ in state.params.named()]
               + [("running", name, arr) for name, arr in state.params.running.items()])

@@ -28,7 +28,7 @@ from mixsiam.data import (
     load_cifar10,
     write_cifar10_batch,
 )
-from mixsiam.eval import ProbeConfig, eval_datasets, evaluate, random_baseline_report
+from mixsiam.eval import eval_datasets, evaluate, random_baseline_report
 from mixsiam.loss import (
     AggregationStrategy,
     aggregate,
@@ -170,7 +170,7 @@ def test_criterion_2_stop_gradient_ablation_collapses():
             state.epoch = epoch
             for batch in batches(train_ds, cfg.batch_size, cfg.seed, epoch):
                 train_step(state, batch, cfg, steps)
-        report = evaluate(state.params, cfg, train_ds, test_ds, ProbeConfig())
+        report = evaluate(state.params, cfg, train_ds, test_ds)
         stds[label] = report.embedding_std
     elapsed = time.time() - t0
     ok = stds["ablated"] < 0.01 and stds["intact"] > 0.1 and elapsed < 300.0
@@ -363,8 +363,8 @@ def test_criterion_6_learning_signal_on_synthetic_data():
         state.epoch = epoch
         for batch in batches(train_ds, cfg.batch_size, cfg.seed, epoch):
             train_step(state, batch, cfg, steps)
-    trained = evaluate(state.params, cfg, train_ds, test_ds, ProbeConfig())
-    random_rep = random_baseline_report(cfg, train_ds, test_ds, ProbeConfig())
+    trained = evaluate(state.params, cfg, train_ds, test_ds)
+    random_rep = random_baseline_report(cfg, train_ds, test_ds)
 
     elapsed = time.time() - t0
     gap = trained.linear_top1 - random_rep.linear_top1

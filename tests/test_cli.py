@@ -163,6 +163,15 @@ def test_eval_command_reproduces_train_report(tmp_path):
     assert eval_report["checkpoint"].endswith("ckpt_final.bin")
 
 
+def test_train_missing_resume_exits_2_before_creating_out(tmp_path, capsys):
+    cpath = write_config(tmp_path, tiny_config())
+    out = tmp_path / "o"
+    assert main(["train", "--config", cpath, "--out", str(out),
+                 "--resume", str(tmp_path / "nope.bin")]) == 2
+    assert "resume checkpoint not found" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_requires_resume(tmp_path, capsys):
     assert main(["eval", "--out", str(tmp_path / "o")]) == 2
     assert "--resume" in capsys.readouterr().err
@@ -239,6 +248,13 @@ def test_removed_config_keys_are_rejected(tmp_path, capsys):
         cpath.write_text(json.dumps(old))
         assert main(["train", "--config", str(cpath), "--out", str(tmp_path / "o")]) == 2
         assert f"config.{block}: unknown field(s) ['{key}']" in capsys.readouterr().err
+    # "none" aggregation always adopts z1: the branch policy is gone
+    old = json.loads(json.dumps(payload))
+    old["aggregation"]["none_branch_policy"] = "always_first"
+    cpath.write_text(json.dumps(old))
+    assert main(["train", "--config", str(cpath), "--out", str(tmp_path / "o")]) == 2
+    assert ("config.aggregation: unknown field(s) ['none_branch_policy']"
+            in capsys.readouterr().err)
 
 
 # -- ablation grid -----------------------------------------------------------
@@ -398,6 +414,10 @@ def test_sweep_end_to_end(tmp_path):
     assert "config_hash=" in svg
     assert "<polyline" in svg
     assert svg.count("<circle") == 3
+    # the plot is the linear-probe mean (column 4), and its axis says so
+    assert ">linear top-1</text>" in svg and "knn" not in svg
+    for r in rows:
+        assert f"<title>lambda={float(r[0]):g}: {float(r[4]):.4f}</title>" in svg
 
 
 def test_sweep_lambda_one_cell_matches_plain_two_view_run(tmp_path):
@@ -520,10 +540,18 @@ def test_dump_views_identity_pipeline_panels_match(tmp_path):
         assert np.array_equal(panels[i], panels[0]), f"panel {i} differs"
 
 
-def test_dump_views_count_validation(tmp_path):
-    cpath = write_config(tmp_path, tiny_config())
-    assert main(["dump-views", "--config", cpath, "--out", str(tmp_path / "o"),
-                 "--count", "0"]) == 2
+@pytest.mark.parametrize("kind", ["synthetic", "cifar10"])
+def test_dump_views_count_validation(tmp_path, capsys, kind):
+    # the count is checked before the dataset is read (a cifar10 dir that
+    # does not exist) and before --out is created
+    cfg = tiny_config(dataset=dataclasses.replace(
+        tiny_config().dataset, kind=kind, dir=str(tmp_path / "missing")))
+    cpath = write_config(tmp_path, cfg)
+    out = tmp_path / "o"
+    assert main(["dump-views", "--config", cpath, "--out", str(out), "--count", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "--count must be positive" in err and "not found" not in err
+    assert not out.exists()
 
 
 def test_dump_views_is_deterministic(tmp_path):

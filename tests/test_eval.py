@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 
 import augment_oracle as oracle
 from conftest import tiny_config
+from mixsiam import autodiff as ad
 from mixsiam import eval as eval_module
+from mixsiam.autodiff import Tensor
 from mixsiam.data import SyntheticConfig, load_cifar10, make_synthetic, write_cifar10_batch
 from mixsiam.errors import ConfigError, ShapeError
 from mixsiam.eval import (
     KNN_CHUNK,
     EvalReport,
-    ProbeConfig,
     eval_datasets,
     evaluate,
     extract_features,
@@ -30,7 +31,7 @@ from mixsiam.eval import (
     write_report,
 )
 from mixsiam.model import EncoderSpec, PredictorSpec, encode, init
-from mixsiam.train import DatasetConfig, config_from_dict
+from mixsiam.train import DatasetConfig, config_from_dict, cosine_lr
 
 
 def blobs(seed, per_class=20, classes=3, dim=6, spread=0.1):
@@ -180,17 +181,18 @@ def test_knn_rejects_bad_inputs():
 # -- linear probe ------------------------------------------------------------
 
 
-def test_probes_solve_separable_blobs():
+def test_probes_solve_separable_blobs(monkeypatch):
+    monkeypatch.setattr(eval_module, "PROBE_EPOCHS", 10)
     train_f, train_y = blobs(seed=0)
     test_f, test_y = blobs(seed=1, per_class=10)
     assert knn_probe(train_f, train_y, test_f, test_y, k=5) >= 0.99
-    acc, preds = linear_probe(train_f, train_y, test_f, test_y, class_count=3,
-                              probe=ProbeConfig(linear_epochs=10))
+    acc, preds = linear_probe(train_f, train_y, test_f, test_y, class_count=3)
     assert acc >= 0.99
     assert preds.shape == (30,)
 
 
-def test_probes_near_chance_on_uninformative_features():
+def test_probes_near_chance_on_uninformative_features(monkeypatch):
+    monkeypatch.setattr(eval_module, "PROBE_EPOCHS", 10)
     # pure-noise features carry no label signal, so both probes should sit
     # near the 1/3 chance rate (the margin allows for small-sample noise)
     rng = np.random.default_rng(2)
@@ -199,20 +201,19 @@ def test_probes_near_chance_on_uninformative_features():
     test_f = rng.standard_normal((60, 6))
     test_y = rng.integers(0, 3, size=60)
     assert knn_probe(train_f, train_y, test_f, test_y, k=5) < 0.55
-    acc, _ = linear_probe(train_f, train_y, test_f, test_y, class_count=3,
-                          probe=ProbeConfig(linear_epochs=10))
+    acc, _ = linear_probe(train_f, train_y, test_f, test_y, class_count=3)
     assert acc < 0.55
 
 
-def test_probes_on_collapsed_features_pick_one_class():
+def test_probes_on_collapsed_features_pick_one_class(monkeypatch):
+    monkeypatch.setattr(eval_module, "PROBE_EPOCHS", 5)
     train_f = np.ones((10, 4))
     train_y = np.array([0, 0, 1, 1, 2, 2, 2, 1, 0, 1])
     test_f = np.ones((6, 4))
     test_y = np.array([0, 1, 2, 0, 1, 2])
     preds = knn_predict(train_f, train_y, test_f, k=5)
     assert len(set(preds.tolist())) == 1
-    acc, lpreds = linear_probe(train_f, train_y, test_f, test_y, class_count=3,
-                               probe=ProbeConfig(linear_epochs=5))
+    acc, lpreds = linear_probe(train_f, train_y, test_f, test_y, class_count=3)
     assert len(set(lpreds.tolist())) == 1
     assert acc == float(np.mean(test_y == lpreds[0]))
 
@@ -226,13 +227,44 @@ def test_linear_probe_is_deterministic():
     assert np.array_equal(a[1], b[1])
 
 
-def test_probe_config_validation():
-    with pytest.raises(ConfigError):
-        ProbeConfig(k=0)
-    with pytest.raises(ConfigError):
-        ProbeConfig(linear_lr=0.0)
-    with pytest.raises(ConfigError):
-        ProbeConfig(linear_epochs=0)
+def test_linear_probe_is_hand_stepped_momentum_sgd_bitwise(monkeypatch):
+    # the probe updates through the trainer's apply_sgd with no weight
+    # decay: its weights equal a hand-written momentum-SGD loop bit for
+    # bit, short last batch included (24 rows in batches of 7)
+    monkeypatch.setattr(eval_module, "PROBE_EPOCHS", 3)
+    monkeypatch.setattr(eval_module, "PROBE_BATCH", 7)
+    final = {}
+    sgd = eval_module.apply_sgd
+
+    def spy(tensors, *args, **kwargs):
+        final.update(tensors)
+        return sgd(tensors, *args, **kwargs)
+    monkeypatch.setattr(eval_module, "apply_sgd", spy)
+    train_f, train_y = blobs(seed=6, per_class=8)
+    test_f, _ = blobs(seed=7, per_class=4)
+    _, preds = linear_probe(train_f, train_y, test_f, np.zeros(12, int), 3)
+
+    n, dim = train_f.shape
+    w = Tensor(np.zeros((dim, 3)), requires_grad=True)
+    b = Tensor(np.zeros(3), requires_grad=True)
+    velocity = [np.zeros_like(w.data), np.zeros_like(b.data)]
+    total_steps, step = 4 * 3, 0
+    for epoch in range(3):
+        perm = np.random.default_rng([0, epoch]).permutation(n)
+        for start in range(0, n, 7):
+            idx = perm[start:start + 7]
+            logits = ad.add_bias(ad.matmul(Tensor(train_f[idx]), w), b)
+            ad.backward(ad.softmax_cross_entropy(logits, train_y[idx]))
+            lr = np.float64(cosine_lr(step, total_steps, 0.02))
+            for t, buf in zip((w, b), velocity):
+                buf *= np.float64(0.9)
+                buf += t.grad
+                t.data -= lr * buf
+                t.grad = None
+            step += 1
+    assert final["w"].data.tobytes() == w.data.tobytes()
+    assert final["b"].data.tobytes() == b.data.tobytes()
+    assert np.array_equal(preds, np.argmax(test_f @ w.data + b.data, axis=1))
 
 
 # -- feature extraction ------------------------------------------------------
@@ -320,19 +352,22 @@ def test_extract_features_resize_is_bitwise_per_record_oracle(tmp_path, dtype, s
 # -- packaged evaluation -----------------------------------------------------
 
 
-def small_eval_setup():
+def small_eval_setup(monkeypatch):
+    """A tiny config and dataset pair, with a 5-NN probe and a 3-epoch
+    linear probe."""
+    monkeypatch.setattr(eval_module, "PROBE_K", 5)
+    monkeypatch.setattr(eval_module, "PROBE_EPOCHS", 3)
     cfg = tiny_config()
     train_ds = make_synthetic(SyntheticConfig(classes=2, per_class=6, size=8, seed=5))
     test_ds = make_synthetic(SyntheticConfig(classes=2, per_class=3, size=8, seed=6))
     params = init(cfg.encoder, cfg.predictor, seed=cfg.seed, dtype=cfg.dtype)
-    probe = ProbeConfig(k=5, linear_epochs=3)
-    return cfg, train_ds, test_ds, params, probe
+    return cfg, train_ds, test_ds, params
 
 
-def test_evaluate_report_invariants():
-    cfg, train_ds, test_ds, params, probe = small_eval_setup()
+def test_evaluate_report_invariants(monkeypatch):
+    cfg, train_ds, test_ds, params = small_eval_setup(monkeypatch)
     before = params_checksum(params)
-    report = evaluate(params, cfg, train_ds, test_ds, probe)
+    report = evaluate(params, cfg, train_ds, test_ds)
     assert params_checksum(params) == before
 
     for value in (report.knn_top1, report.linear_top1):
@@ -351,15 +386,15 @@ def test_evaluate_report_invariants():
     assert config_from_dict(report.config) == cfg
 
 
-def test_random_baseline_report_runs():
-    cfg, train_ds, test_ds, _, probe = small_eval_setup()
-    report = random_baseline_report(cfg, train_ds, test_ds, probe)
+def test_random_baseline_report_runs(monkeypatch):
+    cfg, train_ds, test_ds, _ = small_eval_setup(monkeypatch)
+    report = random_baseline_report(cfg, train_ds, test_ds)
     assert 0.0 <= report.knn_top1 <= 1.0
 
 
-def test_report_files(tmp_path):
-    cfg, train_ds, test_ds, params, probe = small_eval_setup()
-    report = evaluate(params, cfg, train_ds, test_ds, probe)
+def test_report_files(tmp_path, monkeypatch):
+    cfg, train_ds, test_ds, params = small_eval_setup(monkeypatch)
+    report = evaluate(params, cfg, train_ds, test_ds)
 
     jpath = tmp_path / "report.json"
     write_report(report, jpath)
@@ -411,25 +446,25 @@ def test_knn_chance_level_on_random_features():
     assert abs(acc - 1.0 / classes) < 0.05
 
 
-def test_linear_probe_on_raw_pixels_is_a_valid_baseline():
+def test_linear_probe_on_raw_pixels_is_a_valid_baseline(monkeypatch):
+    monkeypatch.setattr(eval_module, "PROBE_EPOCHS", 5)
     # Flattened pixels are a legitimate feature matrix: the probe makes no
     # assumption about where features come from.  This run is the baseline
     # a learned representation is compared against.
     train, test = eval_datasets(DatasetConfig(classes=3, per_class=10, size=8, seed=5))
     Xtr = np.stack([r.pixels.reshape(-1) for r in train.records])
     Xte = np.stack([r.pixels.reshape(-1) for r in test.records])
-    acc, preds = linear_probe(Xtr, train.labels(), Xte, test.labels(),
-                              class_count=3, probe=ProbeConfig(linear_epochs=5))
+    acc, preds = linear_probe(Xtr, train.labels(), Xte, test.labels(), class_count=3)
     assert 0.0 <= acc <= 1.0
     assert preds.shape == (len(test),)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
-def test_linear_probe_aborts_on_non_finite_loss():
+def test_linear_probe_aborts_on_non_finite_loss(monkeypatch):
     from mixsiam.errors import TrainingAborted
 
+    monkeypatch.setattr(eval_module, "PROBE_EPOCHS", 1)
     X = np.array([[1.0, np.inf], [0.0, 1.0]])
     y = np.array([0, 1])
     with pytest.raises(TrainingAborted, match="non-finite"):
-        linear_probe(X, y, X, y, class_count=2,
-                     probe=ProbeConfig(linear_epochs=1))
+        linear_probe(X, y, X, y, class_count=2)

@@ -164,22 +164,9 @@ def test_aggregate_algebra_on_random_vectors():
     assert np.array_equal(avg, (a + b) * 0.5)
 
 
-def test_aggregate_seeded_random_policy():
-    strat = AggregationStrategy(kind="none", none_branch_policy="seeded_random")
-    z1 = tensor(np.ones((2, 3)))
-    z2 = tensor(np.zeros((2, 3)))
-    picks = {float(aggregate(z1, z2, strat, np.random.default_rng(s)).data[0, 0])
-             for s in range(16)}
-    assert picks == {0.0, 1.0}
-    with pytest.raises(ConfigError, match="rng"):
-        aggregate(z1, z2, strat)
-
-
 def test_aggregation_strategy_validation():
     with pytest.raises(ConfigError):
         AggregationStrategy(kind="median")
-    with pytest.raises(ConfigError):
-        AggregationStrategy(kind="none", none_branch_policy="coin")
 
 
 # -- mix_loss -----------------------------------------------------------------

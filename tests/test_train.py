@@ -120,7 +120,7 @@ def test_config_round_trips_through_dict():
     cfg = tiny_config(
         lam=0.25,
         lambda_mix=LambdaMixPolicy(kind="beta", alpha=2.0),
-        aggregation=AggregationStrategy(kind="none", none_branch_policy="seeded_random"),
+        aggregation=AggregationStrategy(kind="none"),
         weight_decay=5e-4,
         stop_gradient=False,
     )
@@ -308,7 +308,7 @@ def test_apply_sgd_matches_hand_stepped_oracle():
     lr, momentum, wd = 0.1, 0.9, 0.01
 
     grads = synthetic_grads(params, seed=2)
-    sq = apply_sgd(params, velocity, lr, momentum, wd)
+    sq = apply_sgd(params.tensors, velocity, lr, momentum, wd, params.no_decay)
 
     expected_sq = 0.0
     exp_vel = {}
@@ -327,7 +327,7 @@ def test_apply_sgd_matches_hand_stepped_oracle():
     # second step carries the momentum buffer
     mid = {n: t.data.copy() for n, t in params.named()}
     grads2 = synthetic_grads(params, seed=3)
-    apply_sgd(params, velocity, lr, momentum, wd)
+    apply_sgd(params.tensors, velocity, lr, momentum, wd, params.no_decay)
     for name, t in params.named():
         g = grads2[name]
         if name not in params.no_decay:
@@ -344,7 +344,8 @@ def test_apply_sgd_weight_decay_skips_no_decay_params():
     before = {n: t.data.copy() for n, t in params.named()}
     for _, t in params.named():
         t.grad = np.zeros_like(t.data)
-    apply_sgd(params, velocity, lr=0.5, momentum=0.0, weight_decay=0.1)
+    apply_sgd(params.tensors, velocity, lr=0.5, momentum=0.0, weight_decay=0.1,
+              no_decay=params.no_decay)
 
     decayed = [n for n, _ in params.named() if n not in params.no_decay]
     exempt = [n for n in params.no_decay]
@@ -362,7 +363,8 @@ def test_apply_sgd_lr_zero_leaves_params_untouched():
     velocity = {n: np.zeros_like(t.data) for n, t in params.named()}
     before = {n: t.data.copy() for n, t in params.named()}
     synthetic_grads(params, seed=4)
-    apply_sgd(params, velocity, lr=0.0, momentum=0.9, weight_decay=0.01)
+    apply_sgd(params.tensors, velocity, lr=0.0, momentum=0.9, weight_decay=0.01,
+              no_decay=params.no_decay)
     for name, t in params.named():
         assert np.array_equal(t.data, before[name]), name
     assert any(np.any(v != 0) for v in velocity.values())  # buffers still advanced
@@ -372,7 +374,7 @@ def test_apply_sgd_missing_grads_count_as_zero():
     params = init(EncoderSpec.tiny(), PredictorSpec.tiny(), seed=1, dtype=np.float64)
     velocity = {n: np.zeros_like(t.data) for n, t in params.named()}
     before = {n: t.data.copy() for n, t in params.named()}
-    sq = apply_sgd(params, velocity, lr=0.1, momentum=0.9, weight_decay=0.0)
+    sq = apply_sgd(params.tensors, velocity, lr=0.1, momentum=0.9, weight_decay=0.0)
     assert sq == 0.0
     for name, t in params.named():
         assert np.array_equal(t.data, before[name]), name
@@ -385,7 +387,7 @@ def test_apply_sgd_rejects_non_finite_grad():
     first = next(iter(params.tensors))
     params.tensors[first].grad[...] = np.inf
     with pytest.raises(TrainingAborted, match=first.replace(".", r"\.")):
-        apply_sgd(params, velocity, lr=0.1, momentum=0.9, weight_decay=0.0)
+        apply_sgd(params.tensors, velocity, lr=0.1, momentum=0.9, weight_decay=0.0)
 
 
 # -- a single training step ------------------------------------------------
@@ -624,6 +626,7 @@ def test_checkpoint_rejects_truncated_payload(tmp_path, capsys, where):
         load_checkpoint(path)
     assert main(["eval", "--resume", str(path), "--out", str(tmp_path / "eval")]) == 2
     assert "truncated" in capsys.readouterr().err
+    assert not (tmp_path / "eval").exists()
 
 
 def test_checkpoint_rejects_trailing_bytes(tmp_path, capsys):
