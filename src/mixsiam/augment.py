@@ -98,29 +98,24 @@ class AugmentConfig:
 class LambdaMixPolicy:
     """How lambda_mix is drawn per sample.
 
-    kind "fixed" always returns `value`; "beta" samples Beta(alpha, alpha);
-    "pick_view" returns 0.0 or 1.0 with equal probability, which makes the
-    mixed image an exact copy of one augmented view (the no-mixture
-    ablation: one of the augmented images is selected at random).
+    kind "fixed" always returns `value`; "pick_view" returns 0.0 or 1.0
+    with equal probability, which makes the mixed image an exact copy of
+    one augmented view (the no-mixture ablation: one of the augmented
+    images is selected at random).
     """
 
     kind: str = "fixed"
     value: float = 0.5
-    alpha: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("fixed", "beta", "pick_view"):
-            raise ConfigError(f"lambda_mix policy kind must be fixed|beta|pick_view, got {self.kind!r}")
+        if self.kind not in ("fixed", "pick_view"):
+            raise ConfigError(f"lambda_mix policy kind must be fixed|pick_view, got {self.kind!r}")
         if not 0 <= self.value <= 1:
             raise ConfigError(f"lambda_mix value must be in [0,1], got {self.value}")
-        if self.alpha <= 0:
-            raise ConfigError(f"lambda_mix beta alpha must be > 0, got {self.alpha}")
 
     def sample(self, rng):
         if self.kind == "fixed":
             return float(self.value)
-        if self.kind == "beta":
-            return float(rng.beta(self.alpha, self.alpha))
         return float(rng.integers(0, 2))
 
     def draw(self, seed, epoch, sources):
@@ -425,10 +420,3 @@ def make_triplet(records, cfg: AugmentConfig, policy: LambdaMixPolicy, epoch: in
     out[0], out[1], out[2] = x1, x2, mix(x1, x2, lam)
     return ViewTriplet(x1=out[0], x2=out[1], xm=out[2],
                        lambda_mix=lam, source_index=np.array(sources, dtype=np.int64))
-
-
-def identity_config(output_size, seed=0):
-    """All stochastic stages off: augment_view == bilinear resize."""
-    return AugmentConfig(crop_scale_range=(1.0, 1.0), output_size=output_size,
-                         hflip_prob=0.0, jitter_prob=0.0, grayscale_prob=0.0,
-                         blur_prob=0.0, aspect_ratio_range=(1.0, 1.0), seed=seed)

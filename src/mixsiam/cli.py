@@ -51,18 +51,15 @@ class AblationGrid:
     repeats: int = 1
 
     def __post_init__(self):
-        if not self.aggregations:
-            raise ConfigError("ablation grid needs at least one aggregation")
-        bad = [a for a in self.aggregations if a not in AGGREGATION_KINDS]
-        if bad:
-            raise ConfigError(
-                f"unknown aggregation variant(s) {bad}; choose from {AGGREGATION_KINDS}")
-        if not self.mixtures:
-            raise ConfigError("ablation grid needs at least one mixture variant")
-        bad = [m for m in self.mixtures if m not in MIXTURE_VARIANTS]
-        if bad:
-            raise ConfigError(
-                f"unknown mixture variant(s) {bad}; choose from {MIXTURE_VARIANTS}")
+        for name, values, known in (("aggregation", self.aggregations, AGGREGATION_KINDS),
+                                    ("mixture", self.mixtures, MIXTURE_VARIANTS)):
+            if not values:
+                raise ConfigError(f"ablation grid needs at least one {name} variant")
+            bad = [v for v in values if v not in known]
+            if bad:
+                raise ConfigError(f"unknown {name} variant(s) {bad}; choose from {known}")
+            if len(set(values)) != len(values):
+                raise ConfigError(f"ablation grid {name} variants must be unique, got {values}")
         if self.repeats < 1:
             raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
 
@@ -70,7 +67,7 @@ class AblationGrid:
 @dataclass(frozen=True)
 class SweepSpec:
     base: TrainConfig = TrainConfig()
-    lambda_values: tuple = ()
+    lambda_values: tuple = (0.0, 0.5, 1.0)
     repeats: int = 1
 
     def __post_init__(self):
@@ -374,8 +371,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_sweep_lambda(args) -> int:
-    spec = sweep_spec_from_dict(_load_json(args.config, "sweep spec")
-                                if args.config else {"lambda_values": [0.0, 0.5, 1.0]})
+    spec = sweep_spec_from_dict(_load_json(args.config, "sweep spec") if args.config else {})
     base, datasets, digest = _grid_setup(spec.base, args)
     summaries = _run_cells(
         base, [(f"lambda-{lam:g}", lambda s, l=lam:
@@ -420,31 +416,34 @@ def cmd_dump_views(args) -> int:
 # -- argument plumbing -------------------------------------------------------
 
 
+FLAGS = {
+    "config": dict(help="JSON config path"),
+    "seed": dict(type=int, default=None,
+                 help="override the config seed (training and augmentation)"),
+    "resume": dict(default=None, help="checkpoint to resume from"),
+    "count": dict(type=int, default=8, help="number of images to render (default 8)"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mixsiam",
         description="Siamese representation learning with mixed hard views.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config path")
-    common.add_argument("--out", required=True, help="output directory")
-    common.add_argument("--seed", type=int, default=None,
-                        help="override the config seed (training and augmentation)")
-    common.add_argument("--resume", default=None, help="checkpoint to resume from")
-
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("train", parents=[common],
-                   help="train and write a final evaluation report").set_defaults(func=cmd_train)
-    sub.add_parser("eval", parents=[common],
-                   help="evaluate a checkpoint (--resume)").set_defaults(func=cmd_eval)
-    sub.add_parser("ablate", parents=[common],
-                   help="run the aggregation x mixture grid").set_defaults(func=cmd_ablate)
-    sub.add_parser("sweep-lambda", parents=[common],
-                   help="accuracy versus loss-blend lambda").set_defaults(func=cmd_sweep_lambda)
-    dump = sub.add_parser("dump-views", parents=[common],
-                          help="write one original/view1/view2/mixed sheet per image")
-    dump.add_argument("--count", type=int, default=8,
-                      help="number of images to render (default 8)")
-    dump.set_defaults(func=cmd_dump_views)
+    for name, func, flags, help_text in [
+            ("train", cmd_train, ("config", "seed", "resume"),
+             "train and write a final evaluation report"),
+            ("eval", cmd_eval, ("resume",), "evaluate a checkpoint (--resume)"),
+            ("ablate", cmd_ablate, ("config", "seed"), "run the aggregation x mixture grid"),
+            ("sweep-lambda", cmd_sweep_lambda, ("config", "seed"),
+             "accuracy versus loss-blend lambda"),
+            ("dump-views", cmd_dump_views, ("config", "seed", "count"),
+             "write one original/view1/view2/mixed sheet per image")]:
+        command = sub.add_parser(name, help=help_text)
+        command.add_argument("--out", required=True, help="output directory")
+        for flag in flags:
+            command.add_argument(f"--{flag}", **FLAGS[flag])
+        command.set_defaults(func=func)
     return parser
 
 

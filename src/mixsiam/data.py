@@ -106,20 +106,15 @@ def _parse_cifar_file(path, start_index=0):
     ]
 
 
-def load_cifar10(dir_path, split="train", files=None):
-    """Parse CIFAR-10 binary batch files from `dir_path`.
+def load_cifar10(dir_path, split="train"):
+    """Parse the CIFAR-10 binary batch files of `split` from `dir_path`.
 
     Each 3073-byte record is one label byte then 1024 red, 1024 green and
-    1024 blue bytes, row-major 32x32. `files` overrides the conventional
-    per-split names.
+    1024 blue bytes, row-major 32x32.
     """
+    files = {"train": CIFAR_TRAIN_FILES, "test": CIFAR_TEST_FILES}.get(split)
     if files is None:
-        if split == "train":
-            files = CIFAR_TRAIN_FILES
-        elif split == "test":
-            files = CIFAR_TEST_FILES
-        else:
-            raise ConfigError(f"load_cifar10: unknown split {split!r}")
+        raise ConfigError(f"load_cifar10: unknown split {split!r}")
     records = []
     for name in files:
         records.extend(_parse_cifar_file(os.path.join(dir_path, name),

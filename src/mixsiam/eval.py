@@ -182,11 +182,6 @@ def _k_smallest(d, k):
     return mask
 
 
-def knn_probe(train_feats, train_labels, test_feats, test_labels, k=PROBE_K) -> float:
-    preds = knn_predict(train_feats, train_labels, test_feats, k=k)
-    return float(np.mean(preds == np.asarray(test_labels)))
-
-
 # -- linear probe ------------------------------------------------------------
 
 

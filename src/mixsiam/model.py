@@ -24,13 +24,10 @@ IN_CHANNELS = 3  # every dataset is RGB, and color jitter and grayscale need 3
 class ConvStage:
     channels: int
     stride: int = 1
-    residual: bool = False  # identity skip; requires stride 1 and matching width
 
     def __post_init__(self):
         if self.channels < 1 or self.stride < 1:
             raise ConfigError(f"conv stage needs positive channels/stride, got {self}")
-        if self.residual and self.stride != 1:
-            raise ConfigError(f"residual stage must keep stride 1, got stride {self.stride}")
 
 
 @dataclass(frozen=True)
@@ -38,10 +35,14 @@ class EncoderSpec:
     """Backbone stages (3x3 convs, BN, ReLU, stride-2 downsamples, global
     average pool) on RGB input, followed by a 3-layer projection MLP whose
     last width is the embedding width. The last projector layer carries
-    batch-norm but no nonlinearity."""
+    batch-norm but no nonlinearity.
 
-    stages: tuple = (ConvStage(32), ConvStage(64, 2), ConvStage(128, 2), ConvStage(256, 2))
-    projector: tuple = (256, 256, 256)
+    The default is sized so that collapse diagnostics stay informative: the
+    mean per-dimension std of unit-norm embeddings is bounded by
+    1/sqrt(embed_dim), so a >0.1 healthy regime needs embed_dim < 100."""
+
+    stages: tuple = (ConvStage(16), ConvStage(32, 2), ConvStage(64, 2))
+    projector: tuple = (32, 32, 32)
 
     def __post_init__(self):
         if not self.stages:
@@ -50,31 +51,11 @@ class EncoderSpec:
             raise ConfigError(f"projector must list exactly 3 layer widths, got {self.projector}")
         if any(w < 1 for w in self.projector):
             raise ConfigError(f"projector widths must be positive, got {self.projector}")
-        prev = self.stages[0].channels
-        for st in self.stages[1:]:
-            if st.residual and st.channels != prev:
-                raise ConfigError(
-                    f"residual stage must keep width {prev}, got {st.channels}")
-            prev = st.channels
 
     @property
     def embed_dim(self) -> int:
         """Width of z, shared by every branch and the predictor output."""
         return self.projector[-1]
-
-    @classmethod
-    def small(cls):
-        """Desk preset sized so collapse diagnostics stay informative:
-        mean per-dimension std of unit-norm embeddings is bounded by
-        1/sqrt(embed_dim), so a >0.1 healthy regime needs embed_dim < 100."""
-        return cls(stages=(ConvStage(16), ConvStage(32, 2), ConvStage(64, 2)),
-                   projector=(32, 32, 32))
-
-    @classmethod
-    def tiny(cls):
-        """Gradient-check scale: every finite-difference probe stays cheap."""
-        return cls(stages=(ConvStage(4, 2), ConvStage(8, 2)),
-                   projector=(8, 8, 8))
 
 
 @dataclass(frozen=True)
@@ -83,19 +64,11 @@ class PredictorSpec:
     encoder's embedding width; batch-norm and ReLU on the hidden layer only,
     output layer bare (bias, no BN, no ReLU)."""
 
-    hidden_dim: int = 64
+    hidden_dim: int = 8
 
     def __post_init__(self):
         if self.hidden_dim < 1:
             raise ConfigError(f"predictor hidden_dim must be positive, got {self.hidden_dim}")
-
-    @classmethod
-    def small(cls):
-        return cls(hidden_dim=8)
-
-    @classmethod
-    def tiny(cls):
-        return cls(hidden_dim=2)
 
 
 @dataclass
@@ -189,11 +162,8 @@ def encode(params: ModelParams, x, mode: str) -> Tensor:
             f"encode: train mode needs batch size >= 2, got {x.data.shape[0]}")
     h = x
     for i, stage in enumerate(params.encoder.stages):
-        inp = h
         h = ad.conv2d(h, params.tensors[f"backbone.{i}.conv.w"], stride=stage.stride, padding=1)
         h = _bn(params, f"backbone.{i}", h, mode, overwrite_x=True)
-        if stage.residual:
-            h = h + inp
         h = ad.relu(h, overwrite_a=True)
     h = ad.global_avg_pool(h)
     for j in range(3):

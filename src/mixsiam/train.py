@@ -16,7 +16,7 @@ import hashlib
 import json
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .model import EncoderSpec, ModelParams, PredictorSpec, encode, init, predic
 
 CHECKPOINT_MAGIC = b"MXSM"
 CHECKPOINT_VERSION = 1
-LOSS_TAIL_LEN = 50
 
 
 @dataclass(frozen=True)
@@ -64,8 +63,8 @@ class DatasetConfig:
 @dataclass(frozen=True)
 class TrainConfig:
     dataset: DatasetConfig = DatasetConfig()
-    encoder: EncoderSpec = EncoderSpec.small()
-    predictor: PredictorSpec = PredictorSpec.small()
+    encoder: EncoderSpec = EncoderSpec()
+    predictor: PredictorSpec = PredictorSpec()
     augment: AugmentConfig = AugmentConfig()
     lam: float = 0.5                       # serialized as "lambda"
     lambda_mix: LambdaMixPolicy = LambdaMixPolicy()
@@ -161,9 +160,9 @@ def config_from_dict(payload, cls=TrainConfig, context="config"):
         elif isinstance(default, tuple):
             if not isinstance(value, list):
                 raise ConfigError(f"{where}: expected a list, got {type(value).__name__}")
-            if default and dataclasses.is_dataclass(default[0]):
+            if dataclasses.is_dataclass(default[0]):
                 value = [config_from_dict(v, type(default[0]), where) for v in value]
-            elif default:
+            else:
                 for i, v in enumerate(value):
                     _check_scalar(v, default[0], f"{where}[{i}]")
             value = tuple(value)
@@ -230,7 +229,6 @@ class TrainState:
     velocity: dict          # name -> momentum buffer, same shapes as params
     step: int = 0
     epoch: int = 0
-    loss_tail: list = field(default_factory=list)
 
     @classmethod
     def fresh(cls, cfg: TrainConfig):
@@ -314,8 +312,6 @@ def train_step(state: TrainState, batch, cfg: TrainConfig, total_steps: int) -> 
         grad_norm=float(np.sqrt(sq_norm)),
         embedding_std=embedding_std(z1.data),
     )
-    state.loss_tail.append(breakdown.total)
-    del state.loss_tail[:-LOSS_TAIL_LEN]
     state.step += 1
     return metrics
 
@@ -323,8 +319,7 @@ def train_step(state: TrainState, batch, cfg: TrainConfig, total_steps: int) -> 
 # -- checkpoints ----------------------------------------------------------
 
 
-HEADER_FIELDS = {"config": dict, "epoch": int, "step": int, "loss_tail": list,
-                 "dtype": str, "arrays": list}
+HEADER_FIELDS = {"config": dict, "epoch": int, "step": int, "dtype": str, "arrays": list}
 
 
 def _manifest(state: TrainState, cfg: TrainConfig):
@@ -358,7 +353,6 @@ def save_checkpoint(state: TrainState, cfg: TrainConfig, path):
         "dtype": dtype.str,
         "rng": {"scheme": "keyed", "note": "streams derive from (seed, epoch, "
                 "sample, slot); no mutable rng state exists"},
-        "loss_tail": state.loss_tail[-LOSS_TAIL_LEN:],
         "arrays": [entry for entry, _ in manifest],
     }
     hbytes = json.dumps(header, sort_keys=True).encode()
@@ -397,11 +391,6 @@ def _read_header(f, path):
                          f" valid JSON: {e}") from None
 
 
-def read_checkpoint_header(path) -> dict:
-    with open(path, "rb") as f:
-        return _read_header(f, path)
-
-
 def load_checkpoint(path) -> tuple:
     """Rebuild (TrainState, TrainConfig) from a checkpoint file.
 
@@ -422,7 +411,6 @@ def load_checkpoint(path) -> tuple:
     state = TrainState.fresh(cfg)
     state.epoch = header["epoch"]
     state.step = header["step"]
-    state.loss_tail = header["loss_tail"]
     dtype, manifest = _manifest(state, cfg)
     if header["dtype"] != dtype.str:
         raise ParseError(f"{path}: checkpoint dtype {header['dtype']!r} does not match"
@@ -456,12 +444,18 @@ def checkpoint_path(out_dir, epoch):
     return os.path.join(out_dir, f"ckpt_epoch_{epoch}.bin")
 
 
-def _drop_rows_from(mpath, step):
+def _drop_rows_from(mpath, step, hash_line):
     """Keep the two header lines and the complete rows before `step`: a run
     resumed in place must not repeat the rows its first attempt wrote past
-    the checkpoint, nor keep a row that a crash cut short."""
+    the checkpoint, nor keep a row that a crash cut short. A file whose
+    first line is not `hash_line` holds another config's rows: raises
+    ConfigError and leaves it as it is."""
     with open(mpath) as f:
         lines = f.readlines()
+    if lines[:1] != [hash_line]:
+        head = lines[0].rstrip("\n") if lines else ""
+        raise ConfigError(f"{mpath} holds the metrics of another config: its first line"
+                          f" is {head!r}, this run writes {hash_line.rstrip()!r}")
     kept = lines[:2] + [line for line in lines[2:] if line.endswith("\n")
                         and (first := line.split(",", 1)[0]).isdigit()
                         and int(first) < step]
@@ -504,8 +498,10 @@ def run(cfg: TrainConfig, dataset: Dataset, out_dir, resume=None, on_metrics=Non
 
     `resume` names a checkpoint written by a run with the same config
     hash. Resumption happens at an epoch boundary and replays the
-    remaining epochs exactly as the uninterrupted run would have. Resuming into the directory of the
-    original run first drops its metrics rows from the checkpoint's step on.
+    remaining epochs exactly as the uninterrupted run would have. Resuming
+    into a directory that holds a metrics.csv requires that file to carry
+    the same config hash, and first drops its rows from the checkpoint's
+    step on.
     """
     os.makedirs(out_dir, exist_ok=True)
     if not os.access(out_dir, os.W_OK):
@@ -518,6 +514,7 @@ def run(cfg: TrainConfig, dataset: Dataset, out_dir, resume=None, on_metrics=Non
 
     _keep_freed_heap()
     mpath = metrics_path(out_dir)
+    hash_line = f"# config_hash={config_hash(cfg)}\n"
     if resume is not None:
         state, ckpt_cfg = load_checkpoint(resume)
         if config_hash(ckpt_cfg) != config_hash(cfg):
@@ -525,14 +522,14 @@ def run(cfg: TrainConfig, dataset: Dataset, out_dir, resume=None, on_metrics=Non
                               f" current {config_hash(cfg)}")
         mode = "a" if os.path.exists(mpath) else "w"
         if mode == "a":
-            _drop_rows_from(mpath, state.step)
+            _drop_rows_from(mpath, state.step, hash_line)
     else:
         state = TrainState.fresh(cfg)
         mode = "w"
 
     with open(mpath, mode) as mfile:
         if mode == "w":
-            mfile.write(f"# config_hash={config_hash(cfg)}\n")
+            mfile.write(hash_line)
             mfile.write(",".join(METRICS_COLUMNS) + "\n")
         for epoch in range(state.epoch, cfg.epochs):
             state.epoch = epoch

@@ -6,19 +6,23 @@ step 1e-5, relative error below 1e-4 (absolute 1e-7 when the reference
 gradient is ~0).
 
 `tiny_config` is the small float64 training config shared by the trainer,
-probe and CLI tests.
+probe and CLI tests; TINY_ENCODER and TINY_PREDICTOR are its model, at the
+scale where every finite-difference probe stays cheap.
 """
 
 import numpy as np
 
 from mixsiam.augment import AugmentConfig
 from mixsiam.autodiff import tensor
-from mixsiam.model import EncoderSpec, PredictorSpec
+from mixsiam.model import ConvStage, EncoderSpec, PredictorSpec
 from mixsiam.train import DatasetConfig, TrainConfig
 
 FD_STEP = 1e-5
 REL_TOL = 1e-4
 ABS_TOL = 1e-7
+
+TINY_ENCODER = EncoderSpec(stages=(ConvStage(4, 2), ConvStage(8, 2)), projector=(8, 8, 8))
+TINY_PREDICTOR = PredictorSpec(hidden_dim=2)
 
 
 def numeric_grad(f, x, step=FD_STEP):
@@ -95,8 +99,8 @@ def check_grads(f, arrays, step=FD_STEP):
 def tiny_config(**overrides):
     base = dict(
         dataset=DatasetConfig(classes=2, per_class=6, size=8, seed=5),
-        encoder=EncoderSpec.tiny(),
-        predictor=PredictorSpec.tiny(),
+        encoder=TINY_ENCODER,
+        predictor=TINY_PREDICTOR,
         augment=AugmentConfig(output_size=8, seed=11),
         batch_size=4,
         epochs=2,
@@ -105,3 +109,10 @@ def tiny_config(**overrides):
     )
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def identity_config(output_size, seed=0):
+    """All stochastic stages off: augment_view == bilinear resize."""
+    return AugmentConfig(crop_scale_range=(1.0, 1.0), output_size=output_size,
+                         hflip_prob=0.0, jitter_prob=0.0, grayscale_prob=0.0,
+                         blur_prob=0.0, aspect_ratio_range=(1.0, 1.0), seed=seed)

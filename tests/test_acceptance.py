@@ -18,6 +18,7 @@ import time
 import numpy as np
 
 from augment_oracle import VIEW1_SLOT, VIEW2_SLOT, augment_view, view_rng
+from conftest import TINY_ENCODER, TINY_PREDICTOR
 from mixsiam import autodiff as ad
 from mixsiam.augment import AugmentConfig, LambdaMixPolicy, make_triplet, mix
 from mixsiam.autodiff import Tensor, backward, tensor
@@ -37,7 +38,7 @@ from mixsiam.loss import (
     siam_loss,
     total_loss,
 )
-from mixsiam.model import EncoderSpec, PredictorSpec, encode, init, predict
+from mixsiam.model import encode, init, predict
 from mixsiam.train import (
     DatasetConfig,
     TrainConfig,
@@ -66,7 +67,7 @@ BLEND_LAM = 0.37
 
 def _grad_case(seed):
     rng = np.random.default_rng(seed)
-    params = init(EncoderSpec.tiny(), PredictorSpec.tiny(), seed=seed,
+    params = init(TINY_ENCODER, TINY_PREDICTOR, seed=seed,
                   dtype=np.float64)
     # nudge every tensor off the exact-zero init so the evaluation point
     # is generic (no bias sitting exactly on a ReLU kink)
@@ -187,8 +188,8 @@ def test_criterion_3_lambda_one_reduces_to_plain_siamese(tmp_path):
     the final parameters are bitwise identical too."""
     cfg = TrainConfig(
         dataset=DatasetConfig(classes=2, per_class=10, size=8, seed=3),
-        encoder=EncoderSpec.tiny(),
-        predictor=PredictorSpec.tiny(),
+        encoder=TINY_ENCODER,
+        predictor=TINY_PREDICTOR,
         augment=AugmentConfig(output_size=8, seed=11),
         lam=1.0,
         batch_size=4,
@@ -381,8 +382,8 @@ def test_criterion_6_learning_signal_on_synthetic_data():
 def _tiny_cli_config(**overrides):
     base = dict(
         dataset=DatasetConfig(classes=2, per_class=8, size=8, seed=5),
-        encoder=EncoderSpec.tiny(),
-        predictor=PredictorSpec.tiny(),
+        encoder=TINY_ENCODER,
+        predictor=TINY_PREDICTOR,
         augment=AugmentConfig(output_size=8, seed=11),
         batch_size=4,
         epochs=1,
@@ -514,13 +515,13 @@ def test_criterion_9_reproducibility_and_round_trips(tmp_path):
     labels = rng.integers(0, 10, size=25)
     records = [ImageRecord(pixels=raw[i] / 255.0, label=int(labels[i]),
                            source_index=i) for i in range(25)]
-    write_cifar10_batch(records, tmp_path / "batch.bin")
-    loaded = load_cifar10(str(tmp_path), files=["batch.bin"])
+    write_cifar10_batch(records, tmp_path / "test_batch.bin")
+    loaded = load_cifar10(str(tmp_path), split="test")
     pixels_ok = all(np.array_equal(loaded.records[i].pixels, records[i].pixels)
                     for i in range(25))
     labels_ok = np.array_equal(loaded.labels(), labels)
     write_cifar10_batch(loaded.records, tmp_path / "batch2.bin")
-    bytes_ok = (tmp_path / "batch.bin").read_bytes() == \
+    bytes_ok = (tmp_path / "test_batch.bin").read_bytes() == \
         (tmp_path / "batch2.bin").read_bytes()
     round_trip = pixels_ok and labels_ok and bytes_ok
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import identity_config
 from mixsiam.augment import (
     VIEW_DRAWS,
     AugmentConfig,
@@ -14,7 +15,6 @@ from mixsiam.augment import (
     augment_view,
     gaussian_blur,
     gaussian_kernel1d,
-    identity_config,
     make_triplet,
     mix,
     resize_bilinear,
@@ -73,7 +73,7 @@ def test_invalid_augment_config(kwargs):
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"kind": "gamma"}, {"value": 1.5}, {"alpha": 0.0},
+    {"kind": "gamma"}, {"kind": "beta"}, {"value": 1.5},
 ])
 def test_invalid_lambda_policy(kwargs):
     with pytest.raises(ConfigError):
@@ -206,7 +206,6 @@ _configs = st.builds(
 )
 _policies = st.one_of(
     st.builds(LambdaMixPolicy, kind=st.just("fixed"), value=st.floats(0.0, 1.0)),
-    st.builds(LambdaMixPolicy, kind=st.just("beta"), alpha=st.floats(0.1, 5.0)),
     st.just(LambdaMixPolicy(kind="pick_view")),
 )
 ALL_ON = AugmentConfig(output_size=24, hflip_prob=1.0, jitter_prob=1.0,
@@ -228,7 +227,7 @@ def _records(kind, batch, size, seed):
 @given(cfg=_configs, policy=_policies, kind=st.sampled_from(["float64", "uint8"]),
        batch=st.sampled_from([1, 2, 7, 32]), size=st.integers(8, 40),
        epoch=st.integers(0, 1000), seed=st.integers(0, 2**31 - 1))
-@example(cfg=ALL_ON, policy=LambdaMixPolicy(kind="beta", alpha=0.5), kind="float64",
+@example(cfg=ALL_ON, policy=LambdaMixPolicy(kind="pick_view"), kind="float64",
          batch=32, size=32, epoch=0, seed=0)
 @example(cfg=ALL_ON, policy=LambdaMixPolicy(kind="pick_view"), kind="uint8",
          batch=7, size=32, epoch=1, seed=1)
@@ -334,12 +333,13 @@ def test_mix_validates_inputs():
 def test_triplet_invariant_at_storage_precision():
     # xm tracks lambda*x1 + (1-lambda)*x2 to 1 ulp at the operands' unit
     # scale (2^-52); for lambda >= 0.5 the match is bitwise. (Exact-swap
-    # symmetry of mix() fixes the evaluation order, so lambda < 0.5 draws
-    # reconstruct the complement coefficient and can differ from the naive
+    # symmetry of mix() fixes the evaluation order, so a lambda < 0.5
+    # reconstructs the complement coefficient and can differ from the naive
     # formula by one rounding of the coefficient.)
     ds = make_synthetic(SyntheticConfig(classes=2, per_class=4, size=32, seed=0))
     cfg = AugmentConfig(seed=11)
-    for policy in (LambdaMixPolicy(), LambdaMixPolicy(kind="beta", alpha=2.0)):
+    for policy in (LambdaMixPolicy(), LambdaMixPolicy(value=0.3),
+                   LambdaMixPolicy(kind="pick_view")):
         t = make_triplet(ds.records, cfg, policy, epoch=0)
         assert t.x1.shape == t.x2.shape == t.xm.shape == (8, 3, 32, 32)
         for x1, x2, xm, lam in zip(t.x1, t.x2, t.xm, t.lambda_mix):
@@ -352,7 +352,7 @@ def test_triplet_invariant_at_storage_precision():
 def test_triplet_keyed_determinism_ignores_call_order():
     recs = [_record(i) for i in range(4)]
     cfg = AugmentConfig(seed=5)
-    policy = LambdaMixPolicy(kind="beta")
+    policy = LambdaMixPolicy(kind="pick_view")
     forward = make_triplet(recs, cfg, policy, epoch=3)
     backward = make_triplet(recs[::-1], cfg, policy, epoch=3)
     for name in ("x1", "x2", "xm", "lambda_mix", "source_index"):

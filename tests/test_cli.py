@@ -12,8 +12,9 @@ import pytest
 
 import mixsiam.cli as cli
 import mixsiam.eval as eval_module
+from conftest import identity_config
 from conftest import tiny_config as shared_tiny_config
-from mixsiam.augment import identity_config, make_triplet
+from mixsiam.augment import make_triplet
 from mixsiam.cli import (
     AblationGrid,
     SweepSpec,
@@ -211,6 +212,25 @@ def test_usage_errors_exit_2(tmp_path):
     assert main(["train"]) == 2  # --out is required
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("eval", "--seed"),
+    ("eval", "--config"),
+    ("ablate", "--resume"),
+    ("sweep-lambda", "--resume"),
+    ("dump-views", "--resume"),
+])
+def test_a_flag_the_command_does_not_read_exits_2(tmp_path, capsys, command, flag):
+    # each subcommand takes only the flags it reads, so a flag it would
+    # ignore (eval --seed keeping the checkpoint's seed) is a usage error
+    cpath = write_config(tmp_path, tiny_config())
+    args = {"eval": ["--resume", str(tmp_path / "ck.bin")]}.get(command, ["--config", cpath])
+    value = {"--seed": "3", "--config": cpath}.get(flag, str(tmp_path / "ck.bin"))
+    out = tmp_path / "o"
+    assert main([command, *args, "--out", str(out), flag, value]) == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- shipped configs -----------------------------------------------------------
 
 
@@ -255,6 +275,17 @@ def test_removed_config_keys_are_rejected(tmp_path, capsys):
     assert main(["train", "--config", str(cpath), "--out", str(tmp_path / "o")]) == 2
     assert ("config.aggregation: unknown field(s) ['none_branch_policy']"
             in capsys.readouterr().err)
+    # stages are plain conv stages, and lambda_mix has no Beta policy
+    old = json.loads(json.dumps(payload))
+    old["encoder"]["stages"][0]["residual"] = False
+    old["lambda_mix"]["alpha"] = 1.0
+    cpath.write_text(json.dumps(old))
+    assert main(["train", "--config", str(cpath), "--out", str(tmp_path / "o")]) == 2
+    assert "config.encoder.stages: unknown field(s) ['residual']" in capsys.readouterr().err
+    old["encoder"]["stages"][0].pop("residual")
+    cpath.write_text(json.dumps(old))
+    assert main(["train", "--config", str(cpath), "--out", str(tmp_path / "o")]) == 2
+    assert "config.lambda_mix: unknown field(s) ['alpha']" in capsys.readouterr().err
 
 
 # -- ablation grid -----------------------------------------------------------
@@ -349,6 +380,22 @@ def test_ablate_rejects_bad_grid(tmp_path, capsys):
     gpath.write_text(json.dumps(grid_payload(aggregations=["maximum", "median"])))
     assert main(["ablate", "--config", str(gpath), "--out", str(tmp_path / "o")]) == 2
     assert "median" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, values", [
+    ("aggregations", ["maximum", "maximum"]),
+    ("mixtures", ["mixture", "no_mixture", "mixture"]),
+])
+def test_ablate_rejects_duplicate_variants(tmp_path, capsys, key, values):
+    # a repeated variant would train twice into one cell directory and
+    # write two ablation.csv rows for it
+    gpath = tmp_path / "grid.json"
+    gpath.write_text(json.dumps(grid_payload(**{key: values})))
+    out = tmp_path / "o"
+    assert main(["ablate", "--config", str(gpath), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "must be unique" in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_ablate_precheck_catches_oversized_batch(tmp_path, capsys):
@@ -489,9 +536,21 @@ def test_sweep_spec_validation():
     with pytest.raises(ConfigError, match="outside"):
         sweep_spec_from_dict(sweep_payload(lambda_values=[0.0, 1.5]))
     with pytest.raises(ConfigError, match="lambda_values"):
-        sweep_spec_from_dict({"base": {}})
+        sweep_spec_from_dict({"base": {}, "lambda_values": []})
     with pytest.raises(ConfigError):
         SweepSpec(base=tiny_config(), lambda_values=(0.5,), repeats=0)
+    assert SweepSpec().lambda_values == (0.0, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("value", [True, "0.5", None])
+def test_sweep_rejects_a_lambda_that_is_not_a_number(tmp_path, capsys, value):
+    spath = tmp_path / "sweep.json"
+    spath.write_text(json.dumps(sweep_payload(lambda_values=[0.0, value])))
+    out = tmp_path / "o"
+    assert main(["sweep-lambda", "--config", str(spath), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "sweep spec.lambda_values[1]: expected float" in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 # -- contact sheets ----------------------------------------------------------

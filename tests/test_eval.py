@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import augment_oracle as oracle
-from conftest import tiny_config
+from conftest import TINY_ENCODER, TINY_PREDICTOR, tiny_config
 from mixsiam import autodiff as ad
 from mixsiam import eval as eval_module
 from mixsiam.autodiff import Tensor
@@ -23,7 +23,6 @@ from mixsiam.eval import (
     evaluate,
     extract_features,
     knn_predict,
-    knn_probe,
     linear_probe,
     params_checksum,
     random_baseline_report,
@@ -43,6 +42,12 @@ def blobs(seed, per_class=20, classes=3, dim=6, spread=0.1):
         feats.append(center + spread * rng.standard_normal((per_class, dim)))
         labels.append(np.full(per_class, c))
     return np.concatenate(feats), np.concatenate(labels)
+
+
+def knn_probe(train_feats, train_labels, test_feats, test_labels, k):
+    """k-NN top-1 accuracy, as evaluate computes it."""
+    preds = knn_predict(train_feats, train_labels, test_feats, k=k)
+    return float(np.mean(preds == np.asarray(test_labels)))
 
 
 # -- k-NN rule ---------------------------------------------------------------
@@ -272,7 +277,7 @@ def test_linear_probe_is_hand_stepped_momentum_sgd_bitwise(monkeypatch):
 
 def test_extract_features_shape_and_determinism():
     ds = make_synthetic(SyntheticConfig(classes=2, per_class=4, size=8, seed=5))
-    params = init(EncoderSpec.tiny(), PredictorSpec.tiny(), seed=1, dtype=np.float64)
+    params = init(TINY_ENCODER, TINY_PREDICTOR, seed=1, dtype=np.float64)
     before = params_checksum(params)
     a, ya = extract_features(params, ds, output_size=8)
     b, yb = extract_features(params, ds, output_size=8)
@@ -284,7 +289,7 @@ def test_extract_features_shape_and_determinism():
 
 def test_extract_features_independent_of_batch_size():
     ds = make_synthetic(SyntheticConfig(classes=2, per_class=6, size=8, seed=5))
-    params = init(EncoderSpec.tiny(), PredictorSpec.tiny(), seed=1, dtype=np.float64)
+    params = init(TINY_ENCODER, TINY_PREDICTOR, seed=1, dtype=np.float64)
     a, _ = extract_features(params, ds, output_size=8, batch_size=3)
     b, _ = extract_features(params, ds, output_size=8, batch_size=128)
     assert np.array_equal(a, b)
@@ -292,7 +297,7 @@ def test_extract_features_independent_of_batch_size():
 
 def test_extract_features_builds_no_graph(monkeypatch):
     ds = make_synthetic(SyntheticConfig(classes=2, per_class=4, size=8, seed=5))
-    params = init(EncoderSpec.tiny(), PredictorSpec.tiny(), seed=1, dtype=np.float32)
+    params = init(TINY_ENCODER, TINY_PREDICTOR, seed=1, dtype=np.float32)
     outputs = []
 
     def recording_encode(*args):
@@ -317,7 +322,7 @@ def test_extract_features_is_bitwise_encode_with_grad(tmp_path, dtype, source):
         write_cifar10_batch(ds.records, tmp_path / "test_batch.bin")
         ds = load_cifar10(tmp_path, split="test")
         assert ds.records[0].stored.dtype == np.uint8
-    params = init(EncoderSpec.small(), PredictorSpec.small(), seed=4, dtype=dtype)
+    params = init(EncoderSpec(), PredictorSpec(), seed=4, dtype=dtype)
     feats, _ = extract_features(params, ds, output_size=32, batch_size=20)
     x = np.stack([r.pixels for r in ds.records]).astype(dtype)
     want = np.concatenate([encode(params, x[s:s + 20], "eval").data for s in (0, 20)])
@@ -326,7 +331,7 @@ def test_extract_features_is_bitwise_encode_with_grad(tmp_path, dtype, source):
 
 def test_extract_features_resizes_when_needed():
     ds = make_synthetic(SyntheticConfig(classes=2, per_class=3, size=12, seed=5))
-    params = init(EncoderSpec.tiny(), PredictorSpec.tiny(), seed=1, dtype=np.float64)
+    params = init(TINY_ENCODER, TINY_PREDICTOR, seed=1, dtype=np.float64)
     feats, labels = extract_features(params, ds, output_size=8)
     assert feats.shape == (6, 8)
     assert labels.shape == (6,)
@@ -342,7 +347,7 @@ def test_extract_features_resize_is_bitwise_per_record_oracle(tmp_path, dtype, s
     if source == "cifar10":
         write_cifar10_batch(ds.records, tmp_path / "test_batch.bin")
         ds = load_cifar10(tmp_path, split="test")
-    params = init(EncoderSpec.small(), PredictorSpec.small(), seed=4, dtype=dtype)
+    params = init(EncoderSpec(), PredictorSpec(), seed=4, dtype=dtype)
     feats, _ = extract_features(params, ds, output_size=16, batch_size=8)
     x = np.stack([oracle.resize_bilinear(r.pixels, 16, 16) for r in ds.records]).astype(dtype)
     want = np.concatenate([encode(params, x[s:s + 8], "eval").data for s in range(0, 21, 8)])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import param_fd_check
+from conftest import TINY_ENCODER, TINY_PREDICTOR, param_fd_check
 from mixsiam import autodiff as ad
 from mixsiam.autodiff import Tensor
 from mixsiam.errors import ConfigError, ShapeError
@@ -11,7 +11,7 @@ from mixsiam.model import ConvStage, EncoderSpec, ModelParams, PredictorSpec, en
 
 
 def _tiny_params(seed=0):
-    return init(EncoderSpec.tiny(), PredictorSpec.tiny(), seed=seed)
+    return init(TINY_ENCODER, TINY_PREDICTOR, seed=seed)
 
 
 def _images(rng, n, size=8):
@@ -23,11 +23,9 @@ def _images(rng, n, size=8):
 
 def test_default_spec_keeps_4to1_embed_predictor_ratio():
     enc, pred = EncoderSpec(), PredictorSpec()
-    assert enc.embed_dim == 256 and pred.hidden_dim == 64
+    assert enc.embed_dim == 32 and pred.hidden_dim == 8
     assert enc.embed_dim / pred.hidden_dim == 4
     assert len(enc.projector) == 3 and enc.projector[-1] == enc.embed_dim
-    small_enc, small_pred = EncoderSpec.small(), PredictorSpec.small()
-    assert small_enc.embed_dim / small_pred.hidden_dim == 4
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -45,18 +43,15 @@ def test_invalid_stage_and_predictor():
     with pytest.raises(ConfigError):
         ConvStage(channels=0)
     with pytest.raises(ConfigError):
-        ConvStage(channels=8, stride=2, residual=True)
+        ConvStage(channels=8, stride=0)
     with pytest.raises(ConfigError):
         PredictorSpec(hidden_dim=0)
-    with pytest.raises(ConfigError):
-        EncoderSpec(stages=(ConvStage(8), ConvStage(16, 1, residual=True)),
-                    projector=(16, 16, 16))
 
 
 def test_embed_dim_is_the_last_projector_width():
     enc = EncoderSpec(projector=(8, 8, 16))
     assert enc.embed_dim == 16
-    params = init(enc, PredictorSpec.tiny(), seed=0)
+    params = init(enc, TINY_PREDICTOR, seed=0)
     assert params.tensors["predictor.0.w"].shape == (16, 2)
     assert params.tensors["predictor.1.w"].shape == (2, 16)
     assert params.tensors["predictor.1.b"].shape == (16,)
@@ -75,7 +70,7 @@ def test_init_deterministic_bitwise():
 
 
 def test_init_values_finite_and_fan_in_scaled():
-    params = init(EncoderSpec.small(), PredictorSpec.small(), seed=1)
+    params = init(EncoderSpec(), PredictorSpec(), seed=1)
     for name, t in params.named():
         assert np.all(np.isfinite(t.data)), name
     # U(-a, a) with a = 1/sqrt(fan_in) has std a/sqrt(3)
@@ -106,7 +101,7 @@ def test_no_decay_covers_bn_and_biases_only():
 
 
 def test_init_embeddings_roughly_uncorrelated():
-    params = init(EncoderSpec.small(), PredictorSpec.small(), seed=5)
+    params = init(EncoderSpec(), PredictorSpec(), seed=5)
     rng = np.random.default_rng(0)
     z = encode(params, _images(rng, 200, 16), "train").data
     zn = z / np.linalg.norm(z, axis=1, keepdims=True)
@@ -164,14 +159,6 @@ def test_predict_shape_and_determinism():
     p = predict(params, z, "eval")
     assert p.shape == (4, 8)
     assert np.array_equal(p.data, predict(params, z, "eval").data)
-
-
-def test_residual_stage_forward():
-    spec = EncoderSpec(stages=(ConvStage(8), ConvStage(8, 1, residual=True)),
-                       projector=(8, 8, 8))
-    params = init(spec, PredictorSpec.tiny(), seed=0)
-    z = encode(params, _images(np.random.default_rng(6), 2), "train")
-    assert z.shape == (2, 8)
 
 
 def test_weight_sharing_by_identity():

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 import augment_oracle as oracle
 from augment_oracle import VIEW1_SLOT, VIEW2_SLOT, augment_view, view_rng
-from conftest import tiny_config
+from conftest import TINY_ENCODER, TINY_PREDICTOR, tiny_config
 from mixsiam import autodiff as ad
 from mixsiam import train as train_module
 from mixsiam.augment import LambdaMixPolicy
@@ -32,11 +32,10 @@ from mixsiam.cli import main
 from mixsiam.data import SyntheticConfig, batches, make_synthetic
 from mixsiam.errors import ConfigError, ParseError, TrainingAborted
 from mixsiam.loss import AggregationStrategy, siam_loss
-from mixsiam.model import EncoderSpec, PredictorSpec, encode, init, predict
+from mixsiam.model import encode, init, predict
 from mixsiam.train import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
-    LOSS_TAIL_LEN,
     METRICS_COLUMNS,
     DatasetConfig,
     TrainConfig,
@@ -50,11 +49,18 @@ from mixsiam.train import (
     embedding_std,
     load_checkpoint,
     metrics_path,
-    read_checkpoint_header,
     run,
     save_checkpoint,
     train_step,
 )
+
+
+def read_checkpoint_header(path):
+    """The JSON header of a checkpoint file (see save_checkpoint)."""
+    with open(path, "rb") as f:
+        f.seek(8)
+        (hlen,) = struct.unpack("<Q", f.read(8))
+        return json.loads(f.read(hlen).decode())
 
 
 def tiny_dataset(seed=5):
@@ -119,7 +125,7 @@ def test_embedding_std_bounded_by_isotropic_ceiling(seed, n, d):
 def test_config_round_trips_through_dict():
     cfg = tiny_config(
         lam=0.25,
-        lambda_mix=LambdaMixPolicy(kind="beta", alpha=2.0),
+        lambda_mix=LambdaMixPolicy(kind="pick_view", value=0.25),
         aggregation=AggregationStrategy(kind="none"),
         weight_decay=5e-4,
         stop_gradient=False,
@@ -267,7 +273,7 @@ def oracle_make_triplet(records, cfg, policy, epoch, dtype=np.float64):
 
 @pytest.mark.parametrize("cfg", [
     tiny_config(),
-    tiny_config(precision=32, lambda_mix=LambdaMixPolicy(kind="beta", alpha=0.5),
+    tiny_config(precision=32, lambda_mix=LambdaMixPolicy(kind="pick_view"),
                 dataset=DatasetConfig(classes=2, per_class=5, size=12, seed=3),
                 augment=train_module.AugmentConfig(output_size=9, blur_prob=0.9, seed=2)),
 ], ids=["float64", "float32_odd_size"])
@@ -302,7 +308,7 @@ def synthetic_grads(params, seed):
 
 
 def test_apply_sgd_matches_hand_stepped_oracle():
-    params = init(EncoderSpec.tiny(), PredictorSpec.tiny(), seed=1, dtype=np.float64)
+    params = init(TINY_ENCODER, TINY_PREDICTOR, seed=1, dtype=np.float64)
     velocity = {n: np.zeros_like(t.data) for n, t in params.named()}
     before = {n: t.data.copy() for n, t in params.named()}
     lr, momentum, wd = 0.1, 0.9, 0.01
@@ -339,7 +345,7 @@ def test_apply_sgd_matches_hand_stepped_oracle():
 
 
 def test_apply_sgd_weight_decay_skips_no_decay_params():
-    params = init(EncoderSpec.tiny(), PredictorSpec.tiny(), seed=1, dtype=np.float64)
+    params = init(TINY_ENCODER, TINY_PREDICTOR, seed=1, dtype=np.float64)
     velocity = {n: np.zeros_like(t.data) for n, t in params.named()}
     before = {n: t.data.copy() for n, t in params.named()}
     for _, t in params.named():
@@ -359,7 +365,7 @@ def test_apply_sgd_weight_decay_skips_no_decay_params():
 
 
 def test_apply_sgd_lr_zero_leaves_params_untouched():
-    params = init(EncoderSpec.tiny(), PredictorSpec.tiny(), seed=1, dtype=np.float64)
+    params = init(TINY_ENCODER, TINY_PREDICTOR, seed=1, dtype=np.float64)
     velocity = {n: np.zeros_like(t.data) for n, t in params.named()}
     before = {n: t.data.copy() for n, t in params.named()}
     synthetic_grads(params, seed=4)
@@ -371,7 +377,7 @@ def test_apply_sgd_lr_zero_leaves_params_untouched():
 
 
 def test_apply_sgd_missing_grads_count_as_zero():
-    params = init(EncoderSpec.tiny(), PredictorSpec.tiny(), seed=1, dtype=np.float64)
+    params = init(TINY_ENCODER, TINY_PREDICTOR, seed=1, dtype=np.float64)
     velocity = {n: np.zeros_like(t.data) for n, t in params.named()}
     before = {n: t.data.copy() for n, t in params.named()}
     sq = apply_sgd(params.tensors, velocity, lr=0.1, momentum=0.9, weight_decay=0.0)
@@ -381,7 +387,7 @@ def test_apply_sgd_missing_grads_count_as_zero():
 
 
 def test_apply_sgd_rejects_non_finite_grad():
-    params = init(EncoderSpec.tiny(), PredictorSpec.tiny(), seed=1, dtype=np.float64)
+    params = init(TINY_ENCODER, TINY_PREDICTOR, seed=1, dtype=np.float64)
     velocity = {n: np.zeros_like(t.data) for n, t in params.named()}
     synthetic_grads(params, seed=5)
     first = next(iter(params.tensors))
@@ -410,7 +416,6 @@ def test_train_step_metrics_and_bookkeeping():
         assert np.isfinite(value)
     assert -1.0 <= m.l_siam <= 1.0 and -1.0 <= m.l_mix <= 1.0
     assert m.grad_norm > 0
-    assert state.loss_tail == [m.total]
 
 
 def test_train_step_is_deterministic():
@@ -433,16 +438,6 @@ def test_train_step_row_round_trips_floats():
     assert int(fields[0]) == m.step and int(fields[1]) == m.epoch
     parsed = [float(f) for f in fields[2:]]
     assert parsed == [m.lr, m.l_siam, m.l_mix, m.total, m.grad_norm, m.embedding_std]
-
-
-def test_train_step_trims_loss_tail():
-    ds = tiny_dataset()
-    cfg = tiny_config()
-    state = TrainState.fresh(cfg)
-    state.loss_tail = [0.0] * LOSS_TAIL_LEN
-    m = train_step(state, first_batch(ds, cfg), cfg, total_steps=10)
-    assert len(state.loss_tail) == LOSS_TAIL_LEN
-    assert state.loss_tail[-1] == m.total
 
 
 def test_train_step_aborts_on_poisoned_params():
@@ -494,7 +489,6 @@ def assert_states_equal(a, b):
     for name in a.params.running:
         assert np.array_equal(a.params.running[name], b.params.running[name]), name
     assert a.step == b.step and a.epoch == b.epoch
-    assert a.loss_tail == b.loss_tail
 
 
 @pytest.mark.parametrize("precision", [32, 64])
@@ -521,7 +515,7 @@ def test_checkpoint_header_contents(tmp_path):
     assert header["format_version"] == CHECKPOINT_VERSION
     assert header["config_hash"] == config_hash(cfg)
     assert header["step"] == state.step
-    assert header["loss_tail"] == state.loss_tail
+    assert "loss_tail" not in header
     assert header["dtype"] == "<f8"
     offset = 0
     itemsize = 8
@@ -648,9 +642,20 @@ def test_checkpoint_rejects_corrupt_header(tmp_path, capsys):
     blob[16] = 0xFF  # not UTF-8, and not the opening brace of the JSON header
     path.write_bytes(bytes(blob))
     with pytest.raises(ParseError, match="not valid JSON"):
-        read_checkpoint_header(path)
+        load_checkpoint(path)
     assert main(["eval", "--resume", str(path), "--out", str(tmp_path / "eval")]) == 2
     assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_checkpoint_with_a_removed_config_key_exits_2(tmp_path, capsys):
+    cfg = tiny_config()
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(TrainState.fresh(cfg), cfg, path)
+    rewrite_header(path, lambda h: h["config"]["lambda_mix"].update(alpha=1.0))
+    with pytest.raises(ConfigError, match="alpha"):
+        load_checkpoint(path)
+    assert main(["eval", "--resume", str(path), "--out", str(tmp_path / "eval")]) == 2
+    assert "config.lambda_mix: unknown field(s) ['alpha']" in capsys.readouterr().err
 
 
 # -- the outer loop ----------------------------------------------------------
@@ -781,6 +786,21 @@ def test_resume_rejects_config_hash_mismatch(tmp_path):
     changed = dataclasses.replace(cfg, lam=0.25, epochs=3)
     with pytest.raises(ConfigError, match="config hash"):
         run(changed, ds, tmp_path / "second", resume=checkpoint_path(first, 2))
+
+
+def test_resume_rejects_a_metrics_csv_of_another_config(tmp_path):
+    # resuming into a directory whose metrics.csv another config wrote
+    # would append rows under that run's hash line
+    ds = tiny_dataset()
+    other, cfg = tiny_config(lr_base=0.05), tiny_config(lr_base=0.07)
+    run(other, ds, tmp_path / "other")
+    run(cfg, ds, tmp_path / "mine")
+    before = (tmp_path / "other" / "metrics.csv").read_bytes()
+    files = sorted(os.listdir(tmp_path / "other"))
+    with pytest.raises(ConfigError, match=f"another config.*config_hash={config_hash(cfg)}"):
+        run(cfg, ds, tmp_path / "other", resume=checkpoint_path(tmp_path / "mine", 1))
+    assert (tmp_path / "other" / "metrics.csv").read_bytes() == before
+    assert sorted(os.listdir(tmp_path / "other")) == files
 
 
 # -- lam=1 against an independent two-view reference loop -------------------
