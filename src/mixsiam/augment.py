@@ -17,10 +17,9 @@ windows), horizontal flip, color jitter (brightness, contrast,
 saturation, hue; fixed order), grayscale, Gaussian blur, clip to [0, 1].
 Flip, jitter and grayscale are masked batch ops: they run on every
 sample, with per-sample factors broadcast, and are kept where the
-sample's gate fired. Blur orders its samples by radius ceil(3*sigma) and
-sums each over its own taps (padding a kernel to a common radius with
-zero taps can turn a -0.0 into +0.0). Every value equals the one a
-per-sample pipeline computes, bit for bit.
+sample's gate fired. Blur runs once per radius ceil(3*sigma) over the
+samples of that radius, each summed from +0.0 over its own taps in order.
+Every value equals the one a per-sample pipeline computes, bit for bit.
 
 Layout rule for the three-channel dot products, which OpenBLAS rounds
 differently depending on the operand's memory: the hue stage's luma and
@@ -207,29 +206,19 @@ def _reflect_index(n, r):
     return np.where(i < n, i, period - i)
 
 
-def _blur_rows(x, radii, taps):
-    """Reflect-padded 1-d convolution along axis 2 of x [C, n, H, W].
+def _blur_rows(x, taps):
+    """Reflect-padded 1-d convolution along axis 2 of x [C, n, H, W],
+    sample b with the taps in row b of taps [n, 2r+1].
 
-    Sample b has radius radii[b], in descending order, and its taps
-    centered in row b of taps [n, 2*radii[0]+1] (entries past the n
-    samples of x have radius -1 and are left out). One sweep over the
-    tap offsets serves every radius: the samples wide enough for an offset
-    are a prefix, and each sample's sum runs over its own taps in order,
-    starting from 0 (which makes -0.0 +0.0). Returns a C-order array.
+    Each sum starts from +0.0 and adds the sample's own taps in order, as
+    a per-image Python sum(...) over the taps does. Returns a C-order array.
     """
     h = x.shape[2]
-    big = int(radii[0])
-    pad = np.take(x, _reflect_index(h, big), axis=2)
-    acc = np.empty(x.shape)
-    term = np.empty(x.shape)
-    for off in range(-big, big + 1):
-        live = np.count_nonzero(radii >= abs(off))
-        summing = np.count_nonzero(radii > abs(off)) if off <= 0 else live
-        start = big + off
-        np.multiply(taps[:live, start][None, :, None, None], pad[:, :live, start:start + h],
-                    out=term[:, :live])
-        np.add(term[:, summing:live], 0.0, out=acc[:, summing:live])
-        acc[:, :summing] += term[:, :summing]
+    r = taps.shape[1] // 2
+    pad = np.take(x, _reflect_index(h, r), axis=2)
+    acc = np.zeros(x.shape)
+    for i in range(2 * r + 1):
+        acc += taps[:, i][None, :, None, None] * pad[:, :, i:i + h]
     return acc
 
 
@@ -238,26 +227,21 @@ def gaussian_blur(images, sigmas):
     sample b blurred at sigmas[b]; a sigma of 0 leaves the sample as it
     is: [B, C, H, W] -> [B, C, H, W].
 
-    Samples are ordered by radius ceil(3*sigma), and each keeps its own
-    taps (zero taps, to pad a kernel to a wider radius, could turn a -0.0
-    into +0.0). The column pass runs on the transposed rows, so that both
-    passes read contiguous windows.
+    The samples that share a radius ceil(3*sigma) are blurred together,
+    each with its own taps. Padding every kernel to one common radius with
+    zero taps gives the same bits, but costs time on the narrow kernels.
+    The column pass runs on the transposed rows, so that both passes read
+    contiguous windows.
     """
     x = _channel_major(images)
     sigmas = np.asarray(sigmas, dtype=np.float64)
-    radii = np.where(sigmas > 0, np.ceil(3.0 * sigmas), -1).astype(np.int64)
-    order = np.argsort(-radii, kind="stable")
-    radii = radii[order]
+    radii = np.where(sigmas > 0, np.ceil(3.0 * sigmas), 0).astype(np.int64)
     out = np.array(x, order="C")
-    n = np.count_nonzero(radii > 0)
-    if n:
-        big = int(radii[0])
-        taps = np.zeros((n, 2 * big + 1))
-        for row, sigma, r in zip(taps, sigmas[order], radii):
-            row[big - r:big + r + 1] = gaussian_kernel1d(sigma)
-        rows = _blur_rows(np.take(x, order[:n], axis=1), radii, taps)
-        cols = _blur_rows(rows.transpose(0, 1, 3, 2), radii, taps)
-        out[:, order[:n]] = cols.transpose(0, 1, 3, 2)
+    for r in np.unique(radii[radii > 0]):
+        group = np.flatnonzero(radii == r)
+        taps = np.stack([gaussian_kernel1d(s) for s in sigmas[group]])
+        rows = _blur_rows(np.take(x, group, axis=1), taps)
+        out[:, group] = _blur_rows(rows.transpose(0, 1, 3, 2), taps).transpose(0, 1, 3, 2)
     return _channel_major(out)
 
 

@@ -89,12 +89,6 @@ class Tensor:
         backward(self)
 
 
-def tensor(data, requires_grad=False, dtype=None):
-    """Leaf tensor; copies/casts only when `dtype` demands it."""
-    arr = np.asarray(data, dtype=dtype)
-    return Tensor(arr, requires_grad=requires_grad)
-
-
 def _result(data, parents, backward_fn, op):
     # Outputs that cannot carry gradient drop their parent links, which
     # prunes constant subgraphs (and is what makes detach exact).

@@ -81,8 +81,10 @@ def extract_features(params: ModelParams, dataset: Dataset, output_size=None,
 
     No augmentation is applied; when `output_size` differs from the stored
     image size the only transform is a bilinear resize. Returns a pair
-    ([N, embed_dim] array, [N] label array); the features are independent
-    of batch_size because eval-mode batchnorm reads the running buffers.
+    ([N, embed_dim] array, [N] label array). Eval-mode batchnorm reads the
+    running buffers, so on OpenBLAS's SkylakeX kernel the features do not
+    depend on batch_size; the Haswell kernel rounds the projector's matmul
+    by batch size (ROADMAP.md, "No guarantee rests on one BLAS kernel").
     The encoder runs on detached views of the parameters (same buffers),
     so no batch builds a differentiation graph.
     """

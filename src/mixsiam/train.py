@@ -15,6 +15,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import struct
 from dataclasses import dataclass
 
@@ -107,21 +108,34 @@ RENAMED = {"lam": "lambda"}  # field name -> JSON key
 ANNOTATED_DEFAULT = {"bool": False, "int": 0, "float": 0.0, "str": ""}
 
 
+def _field_default(f):
+    """The default of dataclass field `f`, or a value of its annotated type."""
+    return ANNOTATED_DEFAULT[f.type] if f.default is dataclasses.MISSING else f.default
+
+
+def _as_field_type(value, default):
+    """An int where the default is a float as that float: equal configs hash equally."""
+    return float(value) if isinstance(default, float) and type(value) is int else value
+
+
 def config_to_dict(cfg):
     """Plain JSON document of a config dataclass, recursively: tuples
-    become lists and the fields in RENAMED take their JSON key."""
-    if dataclasses.is_dataclass(cfg):
-        return {RENAMED.get(f.name, f.name): config_to_dict(getattr(cfg, f.name))
-                for f in dataclasses.fields(cfg)}
-    if isinstance(cfg, tuple):
-        return [config_to_dict(v) for v in cfg]
-    return cfg
+    become lists, the fields in RENAMED take their JSON key, and an int
+    where the default is a float (a field's or a tuple item's) a float."""
+    def plain(value, default):
+        if dataclasses.is_dataclass(value):
+            return config_to_dict(value)
+        if isinstance(value, tuple):
+            return [plain(v, default[0]) for v in value]
+        return _as_field_type(value, default)
+    return {RENAMED.get(f.name, f.name): plain(getattr(cfg, f.name), _field_default(f))
+            for f in dataclasses.fields(cfg)}
 
 
 def _check_scalar(value, default, where):
-    """Raise ConfigError unless `value` has the type of `default`: a bool
-    field takes only a bool, an int field an int that is not a bool, a
-    float field an int or a float, and a str field a str."""
+    """`value` in the type of `default`, or ConfigError: a bool field takes
+    only a bool, an int field an int that is not a bool, a float field an
+    int (read as a float) or a float, and a str field a str."""
     if isinstance(default, bool):
         ok = isinstance(value, bool)
     elif isinstance(default, (int, float)):
@@ -132,6 +146,7 @@ def _check_scalar(value, default, where):
     if not ok:
         raise ConfigError(f"{where}: expected {type(default).__name__},"
                           f" got {type(value).__name__} {value!r}")
+    return _as_field_type(value, default)
 
 
 def config_from_dict(payload, cls=TrainConfig, context="config"):
@@ -152,9 +167,7 @@ def config_from_dict(payload, cls=TrainConfig, context="config"):
     kwargs = {}
     for key, value in payload.items():
         f, where = fields[key], f"{context}.{key}"
-        default = f.default
-        if default is dataclasses.MISSING:
-            default = ANNOTATED_DEFAULT[f.type]
+        default = _field_default(f)
         if dataclasses.is_dataclass(default):
             value = config_from_dict(value, type(default), where)
         elif isinstance(default, tuple):
@@ -163,11 +176,10 @@ def config_from_dict(payload, cls=TrainConfig, context="config"):
             if dataclasses.is_dataclass(default[0]):
                 value = [config_from_dict(v, type(default[0]), where) for v in value]
             else:
-                for i, v in enumerate(value):
-                    _check_scalar(v, default[0], f"{where}[{i}]")
+                value = [_check_scalar(v, default[0], f"{where}[{i}]") for i, v in enumerate(value)]
             value = tuple(value)
         else:
-            _check_scalar(value, default, where)
+            value = _check_scalar(value, default, where)
         kwargs[f.name] = value
     try:
         return cls(**kwargs)
@@ -501,7 +513,8 @@ def run(cfg: TrainConfig, dataset: Dataset, out_dir, resume=None, on_metrics=Non
     remaining epochs exactly as the uninterrupted run would have. Resuming
     into a directory that holds a metrics.csv requires that file to carry
     the same config hash, and first drops its rows from the checkpoint's
-    step on.
+    step on. A fresh run truncates metrics.csv and deletes every checkpoint
+    in `out_dir` first; a resumed run deletes nothing.
     """
     os.makedirs(out_dir, exist_ok=True)
     if not os.access(out_dir, os.W_OK):
@@ -526,6 +539,9 @@ def run(cfg: TrainConfig, dataset: Dataset, out_dir, resume=None, on_metrics=Non
     else:
         state = TrainState.fresh(cfg)
         mode = "w"
+        for name in os.listdir(out_dir):  # an earlier run's checkpoints are stale
+            if re.fullmatch(r"ckpt_(epoch_\d+|final)\.bin(\.tmp)?", name):
+                os.remove(os.path.join(out_dir, name))
 
     with open(mpath, mode) as mfile:
         if mode == "w":

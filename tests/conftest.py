@@ -7,13 +7,14 @@ gradient is ~0).
 
 `tiny_config` is the small float64 training config shared by the trainer,
 probe and CLI tests; TINY_ENCODER and TINY_PREDICTOR are its model, at the
-scale where every finite-difference probe stays cheap.
+scale where every finite-difference probe stays cheap. `tensor` builds a
+leaf Tensor from any array-like, which only the tests need.
 """
 
 import numpy as np
 
 from mixsiam.augment import AugmentConfig
-from mixsiam.autodiff import tensor
+from mixsiam.autodiff import Tensor
 from mixsiam.model import ConvStage, EncoderSpec, PredictorSpec
 from mixsiam.train import DatasetConfig, TrainConfig
 
@@ -23,6 +24,11 @@ ABS_TOL = 1e-7
 
 TINY_ENCODER = EncoderSpec(stages=(ConvStage(4, 2), ConvStage(8, 2)), projector=(8, 8, 8))
 TINY_PREDICTOR = PredictorSpec(hidden_dim=2)
+
+
+def tensor(data, requires_grad=False, dtype=None):
+    """Leaf tensor; copies/casts only when `dtype` demands it."""
+    return Tensor(np.asarray(data, dtype=dtype), requires_grad=requires_grad)
 
 
 def numeric_grad(f, x, step=FD_STEP):

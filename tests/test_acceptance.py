@@ -18,10 +18,10 @@ import time
 import numpy as np
 
 from augment_oracle import VIEW1_SLOT, VIEW2_SLOT, augment_view, view_rng
-from conftest import TINY_ENCODER, TINY_PREDICTOR
+from conftest import TINY_ENCODER, TINY_PREDICTOR, tensor
 from mixsiam import autodiff as ad
 from mixsiam.augment import AugmentConfig, LambdaMixPolicy, make_triplet, mix
-from mixsiam.autodiff import Tensor, backward, tensor
+from mixsiam.autodiff import Tensor, backward
 from mixsiam.cli import main
 from mixsiam.data import (
     ImageRecord,

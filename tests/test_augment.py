@@ -264,10 +264,15 @@ def test_full_image_resize_equals_per_record_oracle(batch, size, out, seed):
 @given(st.lists(st.just(0.0) | st.floats(0.05, 3.0), min_size=1, max_size=9),
        st.integers(8, 24), st.integers(0, 2**31 - 1))
 @settings(max_examples=40, deadline=None)
+# radius 2 at samples 0, 3 and 5, between sigma 0 and radius 4
+@example(sigmas=[0.5, 0.0, 1.2, 0.4, 0.0, 0.45], size=12, seed=3)
+# radius 9 reflects past the far edge of a side of 8
+@example(sigmas=[0.0, 3.0], size=8, seed=4)
 def test_blur_keeps_each_samples_taps_bitwise(sigmas, size, seed):
-    # signed input with zeros of both signs: a kernel padded with zero taps
-    # would turn some -0.0 sums into +0.0; a sigma of 0 leaves the sample
-    # as it is
+    # signed input with zeros of both signs: each blurred sum starts from
+    # +0.0 and runs over the sample's own taps in order, as the oracle's
+    # sum(...) does, so an all-zero window gives +0.0 whatever its signs;
+    # a sigma of 0 leaves the sample as it is, -0.0 included
     rng = np.random.default_rng(seed)
     imgs = rng.normal(size=(len(sigmas), 3, size, size))
     imgs[rng.random(imgs.shape) < 0.3] = 0.0

@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from conftest import check_grads, grad_gap, numeric_grad
+from conftest import check_grads, grad_gap, numeric_grad, tensor
 from mixsiam import autodiff as ad
-from mixsiam.autodiff import Tensor, tensor
+from mixsiam.autodiff import Tensor
 from mixsiam.errors import ShapeError
 
 RNG_SEEDS = [0, 1, 2, 3, 4]

@@ -528,6 +528,16 @@ def test_sweep_lambda_one_cell_matches_plain_two_view_run(tmp_path):
     assert got == want
 
 
+def test_sweep_names_int_lambdas_as_floats(tmp_path):
+    assert sweep_spec_from_dict(sweep_payload(lambda_values=[0, 1])).lambda_values == (0.0, 1.0)
+    spath = tmp_path / "sweep.json"
+    spath.write_text(json.dumps(sweep_payload(lambda_values=[0, 1])))
+    out = tmp_path / "out"
+    assert main(["sweep-lambda", "--config", str(spath), "--out", str(out)]) == 0
+    rows = (out / "sweep.csv").read_text().splitlines()[3:]
+    assert [r.split(",")[0] for r in rows] == ["0.0", "1.0"]
+
+
 def test_sweep_spec_validation():
     with pytest.raises(ConfigError, match="unique"):
         sweep_spec_from_dict(sweep_payload(lambda_values=[0.5, 0.5]))

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import check_grads
+from conftest import check_grads, tensor
 from mixsiam import autodiff as ad
-from mixsiam.autodiff import Tensor, tensor
+from mixsiam.autodiff import Tensor
 from mixsiam.errors import ConfigError, ShapeError
 from mixsiam.loss import (
     AggregationStrategy,

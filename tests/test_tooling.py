@@ -1,5 +1,6 @@
 """Repository hygiene: every import in the package and the scripts is
-used, and the scripts run."""
+used, every function and class of the package has a caller outside the
+tests, and the scripts run."""
 
 import ast
 import os
@@ -11,6 +12,8 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCES = sorted([*ROOT.glob("src/mixsiam/*.py"), *ROOT.glob("scripts/*.py")])
+CALLERS = sorted([*ROOT.glob("src/**/*.py"), *ROOT.glob("scripts/*.py"),
+                  *ROOT.glob("perfbench/*.py")])
 
 
 def unused_imports(source):
@@ -41,6 +44,37 @@ def test_unused_import_finder_sees_what_it_should():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def uncalled_definitions(definitions, callers):
+    """Top-level functions and classes of the `definitions` source that no
+    source in `callers` names: as a Name, an Attribute or an import."""
+    named = set()
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name.split(".")[-1])
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return sorted(node.name for node in ast.parse(definitions).body
+                  if isinstance(node, kinds) and node.name not in named)
+
+
+def test_uncalled_definition_finder_sees_what_it_should():
+    definitions = ("def a(): pass\ndef b(): pass\nclass C: pass\nclass D: pass\n"
+                   "def e(): pass\ndef f():\n    def g(): pass\nH = 1\n")
+    callers = [definitions, "from m import a\nimport m.b\nm.C()\nf(D)\n"]
+    assert uncalled_definitions(definitions, callers) == ["e"]
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("src/mixsiam/*.py")),
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_definition_has_a_caller_outside_the_tests(path):
+    callers = [p.read_text() for p in CALLERS]
+    assert uncalled_definitions(path.read_text(), callers) == []
 
 
 def test_collapse_diagnostics_script_runs():

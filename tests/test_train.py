@@ -195,6 +195,30 @@ def test_config_rejects_a_scalar_of_the_wrong_type(key, value):
 def test_config_float_field_takes_an_int():
     cfg = config_from_dict({"lambda": 1, "augment": {"blur_sigma_range": [1, 2]}})
     assert cfg.lam == 1 and cfg.augment.blur_sigma_range == (1, 2)
+    assert type(cfg.lam) is float and {type(s) for s in cfg.augment.blur_sigma_range} == {float}
+
+
+@pytest.mark.parametrize("as_int, as_float", [
+    ({"lambda": 1}, {"lambda": 1.0}),
+    ({"augment": {"crop_scale_range": [1, 1]}}, {"augment": {"crop_scale_range": [1.0, 1.0]}}),
+])
+def test_an_int_in_a_float_field_hashes_as_the_float(as_int, as_float):
+    a, b = config_from_dict(as_int), config_from_dict(as_float)
+    assert a == b and config_hash(a) == config_hash(b)
+    assert json.dumps(config_to_dict(a)) == json.dumps(config_to_dict(b))
+
+
+def test_a_config_built_with_an_int_float_field_resumes_under_either_spelling(tmp_path):
+    # its checkpoint passes the hash check of the config that wrote it,
+    # and of the equal config spelled with a float
+    as_int, as_float = tiny_config(lam=1), tiny_config(lam=1.0)
+    assert config_hash(as_int) == config_hash(as_float)
+    assert json.dumps(config_to_dict(as_int)) == json.dumps(config_to_dict(as_float))
+    run(as_int, tiny_dataset(), tmp_path / "first")
+    for i, cfg in enumerate((as_int, as_float)):
+        state = run(cfg, tiny_dataset(), tmp_path / f"resumed{i}",
+                    resume=checkpoint_path(tmp_path / "first", 1))
+        assert state.step == 6
 
 
 _json_scalars = (st.none() | st.booleans() | st.integers() | st.text(max_size=4)
@@ -691,6 +715,21 @@ def test_run_writes_metrics_and_checkpoints(tmp_path):
     # final checkpoint is the last epoch checkpoint, byte for byte
     with open(final, "rb") as a, open(checkpoint_path(out, 2), "rb") as b:
         assert a.read() == b.read()
+
+
+def test_a_fresh_run_deletes_an_earlier_runs_checkpoints(tmp_path):
+    out = tmp_path / "run"
+    run(tiny_config(epochs=4), tiny_dataset(), out)
+    (out / "ckpt_epoch_9.bin.tmp").write_bytes(b"cut short")
+    (out / "ckpt_final.bin.tmp").write_bytes(b"cut short")
+    (out / "notes.txt").write_text("not a checkpoint")
+    cfg = tiny_config(lr_base=0.07)
+    run(cfg, tiny_dataset(), out)
+    names = sorted(os.listdir(out))
+    assert names == ["ckpt_epoch_1.bin", "ckpt_epoch_2.bin", "ckpt_final.bin",
+                     "metrics.csv", "notes.txt"]
+    for name in names[:3]:
+        assert read_checkpoint_header(out / name)["config_hash"] == config_hash(cfg)
 
 
 def test_run_is_bitwise_deterministic(tmp_path):
