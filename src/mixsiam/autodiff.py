@@ -354,20 +354,25 @@ def batchnorm(x, gamma, beta, running_mean, running_var, mode, overwrite_x=False
 # -- convolution ------------------------------------------------------
 
 
+CONV_FORWARD_BLOCK = 16  # samples per padded column block
+
+
 def conv2d(x, k, stride=1, padding=0):
     """Cross-correlate [B, C, H, W] with kernels [K, C, kh, kw].
 
-    Forward runs as an im2col matmul. The columns are built channel-major,
-    [C, kh, kw, B, hout, wout], by kh*kw strided slice copies; the GEMM
-    reads them through the per-sample [B, N, C*kh*kw] view, so the output
-    has the [B, N, K] memory layout of a row-per-window im2col, and its
-    bits wherever BLAS packs both operand layouts alike. Backward is two
-    GEMMs (the kernel grad against the saved columns as one [C*kh*kw, B*N]
-    operand, the column grads against the kernel) plus a col2im scatter
-    back through the same window layout. When neither input needs a
-    gradient, `_conv2d_forward_only` gives the same bits faster and keeps
-    nothing; training keeps the channel-major columns, because the
-    summation order of `dk` depends on them.
+    Forward runs as an im2col matmul, CONV_FORWARD_BLOCK samples at a
+    time: each block is copied into one zeroed, padded buffer, laid out as
+    channel-major columns [C, kh, kw, b, hout, wout] by kh*kw strided slice
+    copies, and multiplied per sample through the [b, N, C*kh*kw] view
+    while it is still in cache. The output has the [B, N, K] memory layout
+    of a row-per-window im2col, and its bits wherever BLAS packs both
+    operand layouts alike. A call that needs a gradient writes each block
+    into its slice of one [C, kh, kw, B, hout, wout] buffer and keeps it;
+    one that needs none reuses a block-sized buffer and keeps nothing.
+    Backward is two GEMMs (the kernel grad against the kept columns as one
+    [C*kh*kw, B*N] operand, whose order sets the bits of `dk`; the column
+    grads against the kernel) plus a col2im scatter back through the same
+    window layout.
     """
     if x.data.ndim != 4 or k.data.ndim != 4 or x.data.shape[1] != k.data.shape[1]:
         raise ShapeError(f"conv2d: shapes {x.data.shape} and {k.data.shape} incompatible")
@@ -381,22 +386,27 @@ def conv2d(x, k, stride=1, padding=0):
     wout = (wp - kw) // stride + 1
 
     kmat = k.data.reshape(kout, -1)
-    if not (x.requires_grad or k.requires_grad):
-        out = _conv2d_forward_only(x.data, kmat, kh, kw, stride, padding, hout, wout)
+    keep = x.requires_grad or k.requires_grad
+    n, blk = hout * wout, min(bsz, CONV_FORWARD_BLOCK)
+    xp = np.zeros((blk, cin, hp, wp), dtype=x.data.dtype)
+    cols = np.empty((cin, kh, kw, bsz if keep else blk, hout, wout), dtype=x.data.dtype)
+    out = np.empty((bsz, n, kout), dtype=x.data.dtype)
+    for start in range(0, bsz, blk):
+        stop = min(start + blk, bsz)
+        xb = xp[:stop - start]
+        xb[:, :, padding:padding + h, padding:padding + w] = x.data[start:stop]
+        xt = xb.transpose(1, 0, 2, 3)
+        cb = cols[:, :, :, start:stop] if keep else cols[:, :, :, :stop - start]
+        for i in range(kh):
+            for j in range(kw):
+                cb[:, i, j] = xt[:, :, i:i + stride * (hout - 1) + 1:stride,
+                                 j:j + stride * (wout - 1) + 1:stride]
+        np.matmul(cb.reshape(-1, stop - start, n).transpose(1, 2, 0), kmat.T,
+                  out=out[start:stop])
+    out = out.transpose(0, 2, 1).reshape(bsz, kout, hout, wout)
+    if not keep:
         return _result(out, (x, k), None, "conv2d")
-    if padding:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    else:
-        xp = x.data
-    xt = xp.transpose(1, 0, 2, 3)
-    cols = np.empty((cin, kh, kw, bsz, hout, wout), dtype=x.data.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, i, j] = xt[:, :, i:i + stride * (hout - 1) + 1:stride,
-                               j:j + stride * (wout - 1) + 1:stride]
-    cols = cols.reshape(-1, bsz * hout * wout)  # [C*kh*kw, B*N]
-    out = (cols.reshape(-1, bsz, hout * wout).transpose(1, 2, 0) @ kmat.T
-           ).transpose(0, 2, 1).reshape(bsz, kout, hout, wout)
+    cols = cols.reshape(-1, bsz * n)  # [C*kh*kw, B*N]
 
     def bw(g):
         dxp = dk = None
@@ -405,7 +415,7 @@ def conv2d(x, k, stride=1, padding=0):
             dk = (gk @ cols.T).reshape(k.data.shape)
         if x.requires_grad:
             # [C*kh*kw, K] @ [B, K, N] is already [B, C, kh, kw, hout, wout]
-            dcols = (kmat.T @ g.reshape(bsz, kout, hout * wout)).reshape(
+            dcols = (kmat.T @ g.reshape(bsz, kout, n)).reshape(
                 bsz, cin, kh, kw, hout, wout)
             dxp = np.zeros((bsz, cin, hp, wp), dtype=x.data.dtype)
             for i in range(kh):
@@ -416,38 +426,6 @@ def conv2d(x, k, stride=1, padding=0):
                 dxp = dxp[:, :, padding:padding + h, padding:padding + w]
         return dxp, dk
     return _result(out, (x, k), bw, "conv2d")
-
-
-CONV_FORWARD_BLOCK = 16  # samples per padded, sample-major column block
-
-
-def _conv2d_forward_only(x, kmat, kh, kw, stride, padding, hout, wout):
-    """conv2d's output when nothing needs a gradient, with its bits and
-    layout, built CONV_FORWARD_BLOCK samples at a time.
-
-    Each block is padded and laid out as sample-major columns
-    [b, C, kh, kw, hout, wout], then multiplied while it is still in cache.
-    The per-sample GEMM reads its [N, C*kh*kw] operand transposed with
-    leading dimension N rather than B*N, in the same summation order, and
-    no full-batch column buffer is kept.
-    """
-    bsz, cin, h, w = x.shape
-    n = hout * wout
-    blk = min(bsz, CONV_FORWARD_BLOCK)
-    xp = np.zeros((blk, cin, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
-    cols = np.empty((blk, cin, kh, kw, hout, wout), dtype=x.dtype)
-    out = np.empty((bsz, n, kmat.shape[0]), dtype=x.dtype)
-    for start in range(0, bsz, blk):
-        stop = min(start + blk, bsz)
-        xb, cb = xp[:stop - start], cols[:stop - start]
-        xb[:, :, padding:padding + h, padding:padding + w] = x[start:stop]
-        for i in range(kh):
-            for j in range(kw):
-                cb[:, :, i, j] = xb[:, :, i:i + stride * (hout - 1) + 1:stride,
-                                    j:j + stride * (wout - 1) + 1:stride]
-        np.matmul(cb.reshape(stop - start, -1, n).transpose(0, 2, 1), kmat.T,
-                  out=out[start:stop])
-    return out.transpose(0, 2, 1).reshape(bsz, -1, hout, wout)
 
 
 def global_avg_pool(x):

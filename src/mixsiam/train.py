@@ -17,6 +17,7 @@ import json
 import os
 import re
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,8 +135,10 @@ def config_to_dict(cfg):
 
 def _check_scalar(value, default, where):
     """`value` in the type of `default`, or ConfigError: a bool field takes
-    only a bool, an int field an int that is not a bool, a float field an
-    int (read as a float) or a float, and a str field a str."""
+    only a bool, an int field an int that is not a bool, a float field a
+    finite float or an int within float range (read as a float), and a str
+    field a str. Config files, grid and sweep specs and checkpoint headers
+    all pass through here, so NaN and Infinity never reach a run."""
     if isinstance(default, bool):
         ok = isinstance(value, bool)
     elif isinstance(default, (int, float)):
@@ -146,6 +149,8 @@ def _check_scalar(value, default, where):
     if not ok:
         raise ConfigError(f"{where}: expected {type(default).__name__},"
                           f" got {type(value).__name__} {value!r}")
+    if isinstance(default, float) and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{where}: expected a finite float, got {value!r}")
     return _as_field_type(value, default)
 
 
@@ -354,7 +359,11 @@ def _manifest(state: TrainState, cfg: TrainConfig):
 def save_checkpoint(state: TrainState, cfg: TrainConfig, path):
     """Binary checkpoint: MXSM magic, u32 version, u64 header length, JSON
     header, then the little-endian float payload (params, momentum buffers
-    and batch-norm running stats — everything bitwise resume needs)."""
+    and batch-norm running stats — everything bitwise resume needs).
+
+    The file is written as `.tmp`, synced, renamed over `path`, and then
+    the directory is synced, so after a crash `path` holds either the old
+    checkpoint or the whole new one."""
     dtype, manifest = _manifest(state, cfg)
     header = {
         "format_version": CHECKPOINT_VERSION,
@@ -376,7 +385,14 @@ def save_checkpoint(state: TrainState, cfg: TrainConfig, path):
         f.write(hbytes)
         for _, arr in manifest:
             f.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+        f.flush()
+        os.fsync(f.fileno())
     os.replace(tmp, path)
+    dirfd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(dirfd)
+    finally:
+        os.close(dirfd)
 
 
 def _read_exact(f, n, path, what):

@@ -436,11 +436,13 @@ def _conv2d_sliding_window(x, k, g, stride, padding):
     ((32, 3, 32, 32), (16, 3, 3, 3), True),  # the synthetic_small layers
     ((32, 16, 32, 32), (32, 16, 3, 3), True),
     ((32, 32, 16, 16), (64, 32, 3, 3), True),
+    # a partial last block: the kept columns across a block boundary
+    ((21, 16, 32, 32), (32, 16, 3, 3), True),
     # OpenBLAS sends small products to small-matrix kernels that round a
     # transposed operand differently, so at this size the two column
     # layouts agree to rounding only
     ((3, 5, 11, 10), (7, 5, 3, 2), False),
-], ids=["layer1", "layer2", "layer3", "small"])
+], ids=["layer1", "layer2", "layer3", "layer2_b21", "small"])
 def test_conv2d_is_bitwise_sliding_window_im2col(dtype, stride, padding, layout,
                                                  xshape, kshape, bitwise):
     rng = np.random.default_rng(5)
@@ -475,25 +477,29 @@ SMALL_LAYERS = {
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("layout", ["c_order", "channels_last"])
 @pytest.mark.parametrize("layer", list(SMALL_LAYERS))
-@pytest.mark.parametrize("bsz", [32, 256])  # a train batch, evaluate's batch
-def test_conv2d_forward_only_is_bitwise_sliding_window_im2col(dtype, layout, layer, bsz):
-    # with both inputs constant conv2d takes its forward-only path; its
-    # output must have the bytes and strides of the reference and of the
-    # path that keeps columns for backward, and it records no backward
+# a train batch, evaluate's batch, and a partial last block with and
+# without padding
+@pytest.mark.parametrize("bsz,padding", [(32, 1), (256, 1), (21, 1), (21, 0)])
+def test_conv2d_forward_only_is_bitwise_sliding_window_im2col(dtype, layout, layer, bsz,
+                                                              padding):
+    # with both inputs constant conv2d keeps no columns and records no
+    # backward; its output must have the bytes and strides of the
+    # reference and of a call that keeps columns for backward
     xshape, kshape, stride = SMALL_LAYERS[layer]
     rng = np.random.default_rng(7)
     x = rng.standard_normal((bsz,) + xshape).astype(dtype)
     if layout == "channels_last":
         x = _channels_last(x)
     k = rng.standard_normal(kshape).astype(dtype)
-    out = ad.conv2d(tensor(x), tensor(k), stride=stride, padding=1)
+    out = ad.conv2d(tensor(x), tensor(k), stride=stride, padding=padding)
     assert out._backward_fn is None and not out._parents and not out.requires_grad
-    want, _, _ = _conv2d_sliding_window(x, k, np.zeros(out.shape, dtype=dtype), stride, 1)
+    want, _, _ = _conv2d_sliding_window(x, k, np.zeros(out.shape, dtype=dtype),
+                                     stride, padding)
     assert out.data.strides == want.strides
     assert out.data.tobytes() == want.tobytes()
     for grad_x, grad_k in ((True, False), (False, True)):
         ref = ad.conv2d(tensor(x, requires_grad=grad_x), tensor(k, requires_grad=grad_k),
-                        stride=stride, padding=1)
+                        stride=stride, padding=padding)
         assert out.data.strides == ref.data.strides
         assert out.data.tobytes() == ref.data.tobytes()
 

@@ -120,6 +120,27 @@ def test_train_field_of_the_wrong_shape_or_type_exits_2(tmp_path, capsys, sectio
     assert message in err and err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("path", [("lr_base",), ("weight_decay",),
+                                  ("augment", "jitter_strengths", 0)],
+                         ids=["lr_base", "weight_decay", "jitter_strengths0"])
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_train_non_finite_float_exits_2_before_any_side_effect(tmp_path, capsys, path, value):
+    # Python's json reads these spellings as floats; a run must not start
+    payload = config_to_dict(shared_tiny_config())
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = float(value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert value in bad.read_text()
+    out = tmp_path / "o"
+    assert main(["train", "--config", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "finite" in err and err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_train_requires_config_flag(tmp_path, capsys):
     assert main(["train", "--out", str(tmp_path / "o")]) == 2
     assert "--config" in capsys.readouterr().err
