@@ -86,7 +86,8 @@ def extract_features(params: ModelParams, dataset: Dataset, output_size=None,
     depend on batch_size; the Haswell kernel rounds the projector's matmul
     by batch size (ROADMAP.md, "No guarantee rests on one BLAS kernel").
     The encoder runs on detached views of the parameters (same buffers),
-    so no batch builds a differentiation graph.
+    so no batch builds a differentiation graph, and `encode` runs each
+    batch's backbone in parallel 16-sample blocks.
     """
     frozen = replace(params, tensors={name: t.detach() for name, t in params.named()})
     first = next(iter(params.named()))[1]

@@ -9,6 +9,7 @@ them (documented behavior for weight-shared siamese training).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,14 +145,47 @@ def _bn(params, prefix, x, mode, overwrite_x=False):
                         mode, overwrite_x=overwrite_x)
 
 
+_POOL = None  # the forward-only backbone's thread pool, made on first use
+
+
+def _backbone_pool():
+    """One worker per CPU this process may run on (`taskset` and cpusets
+    restrict it). `concurrent.futures` loads here, not at import."""
+    global _POOL
+    if _POOL is None:
+        from concurrent.futures import ThreadPoolExecutor
+        try:
+            workers = len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity call on this platform
+            workers = os.cpu_count() or 1
+        _POOL = ThreadPoolExecutor(max_workers=workers)
+    return _POOL
+
+
+def _backbone(params: ModelParams, h: Tensor, mode: str) -> Tensor:
+    """conv2d -> batchnorm -> relu per stage, then global average pool.
+    Batchnorm and ReLU consume the intermediate they are given: without
+    gradients they work in its buffer."""
+    for i, stage in enumerate(params.encoder.stages):
+        h = ad.conv2d(h, params.tensors[f"backbone.{i}.conv.w"], stride=stage.stride, padding=1)
+        h = _bn(params, f"backbone.{i}", h, mode, overwrite_x=True)
+        h = ad.relu(h, overwrite_a=True)
+    return ad.global_avg_pool(h)
+
+
 def encode(params: ModelParams, x, mode: str) -> Tensor:
     """z = f(x): backbone -> global average pool -> projector.
 
     `x` is a [B, C, H, W] array or Tensor; the output is NOT normalized
     (normalization belongs to the loss). Train mode requires batch >= 2.
-    Batchnorm and ReLU consume the intermediate they are given: without
-    gradients they work in its buffer, which halves the full-size arrays
-    alive at once in a batch-256 evaluation.
+
+    An eval-mode call in which neither `x` nor any parameter needs a
+    gradient runs the backbone on ad.CONV_FORWARD_BLOCK-sample blocks in
+    parallel and concatenates the pooled rows in block order. Each eval
+    backbone op works on each sample alone, so the bytes depend on neither
+    the split nor the worker count. The projector always runs on the
+    whole batch: its 2-D matmul may round by row count. Train mode writes
+    the running buffers, so it keeps one full-batch backbone pass.
     """
     if not isinstance(x, Tensor):
         x = Tensor(np.asarray(x))
@@ -160,12 +194,15 @@ def encode(params: ModelParams, x, mode: str) -> Tensor:
     if mode == "train" and x.data.shape[0] < 2:
         raise ShapeError(
             f"encode: train mode needs batch size >= 2, got {x.data.shape[0]}")
-    h = x
-    for i, stage in enumerate(params.encoder.stages):
-        h = ad.conv2d(h, params.tensors[f"backbone.{i}.conv.w"], stride=stage.stride, padding=1)
-        h = _bn(params, f"backbone.{i}", h, mode, overwrite_x=True)
-        h = ad.relu(h, overwrite_a=True)
-    h = ad.global_avg_pool(h)
+    if mode == "eval" and not (x.requires_grad
+                               or any(t.requires_grad for t in params.tensors.values())):
+        step = ad.CONV_FORWARD_BLOCK
+        blocks = [Tensor(x.data[start:start + step])
+                  for start in range(0, x.data.shape[0], step)]
+        pooled = _backbone_pool().map(lambda xb: _backbone(params, xb, mode).data, blocks)
+        h = Tensor(np.concatenate(list(pooled)))
+    else:
+        h = _backbone(params, x, mode)
     for j in range(3):
         h = ad.matmul(h, params.tensors[f"projector.{j}.w"])
         h = _bn(params, f"projector.{j}", h, mode, overwrite_x=True)

@@ -435,6 +435,10 @@ def load_checkpoint(path) -> tuple:
         if not isinstance(header.get(key), kind):
             raise ParseError(f"{path}: checkpoint header field {key!r} is missing"
                              f" or not of type {kind.__name__}")
+    for key in ("epoch", "step"):
+        if isinstance(header[key], bool) or header[key] < 0:
+            raise ParseError(f"{path}: checkpoint header field {key!r} is"
+                             f" {header[key]!r}, expected a non-negative integer")
     cfg = config_from_dict(header["config"])
     state = TrainState.fresh(cfg)
     state.epoch = header["epoch"]
@@ -494,7 +498,7 @@ def _drop_rows_from(mpath, step, hash_line):
 # glibc's mallopt parameters (malloc.h) and the values its own dynamic rule
 # reaches once a 32 MB block is freed: blocks under 32 MB come from the
 # heap, and up to 64 MB of free heap is kept instead of being trimmed
-M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD, M_ARENA_MAX = -1, -3, -8
 HEAP_MMAP_THRESHOLD = 32 << 20
 HEAP_TRIM_THRESHOLD = 64 << 20
 
@@ -507,8 +511,11 @@ def _keep_freed_heap():
     glibc's starting thresholds they are unmapped or trimmed after each
     step and faulted back in by the next: about 12k minor page faults per
     synthetic_small step. Which regime a step runs in otherwise depends on
-    the largest block the process happened to free before it. Sets two
-    process-wide allocator parameters; a no-op where libc has no mallopt.
+    the largest block the process happened to free before it. The kept
+    heap is one arena for every thread: a thread arena of its own would
+    keep each evaluation worker's freed blocks beside the main thread's.
+    Sets three process-wide allocator parameters; a no-op where libc has
+    no mallopt.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -518,6 +525,7 @@ def _keep_freed_heap():
     mallopt.restype = ctypes.c_int
     mallopt(M_MMAP_THRESHOLD, HEAP_MMAP_THRESHOLD)
     mallopt(M_TRIM_THRESHOLD, HEAP_TRIM_THRESHOLD)
+    mallopt(M_ARENA_MAX, 1)
 
 
 def run(cfg: TrainConfig, dataset: Dataset, out_dir, resume=None, on_metrics=None):
@@ -526,29 +534,38 @@ def run(cfg: TrainConfig, dataset: Dataset, out_dir, resume=None, on_metrics=Non
 
     `resume` names a checkpoint written by a run with the same config
     hash. Resumption happens at an epoch boundary and replays the
-    remaining epochs exactly as the uninterrupted run would have. Resuming
-    into a directory that holds a metrics.csv requires that file to carry
-    the same config hash, and first drops its rows from the checkpoint's
-    step on. A fresh run truncates metrics.csv and deletes every checkpoint
-    in `out_dir` first; a resumed run deletes nothing.
+    remaining epochs exactly as the uninterrupted run would have: the
+    checkpoint's epoch must be at most cfg.epochs and its step the first
+    step of that epoch, or ConfigError is raised before anything is
+    written. Resuming into a directory that holds a metrics.csv requires
+    that file to carry the same config hash, and first drops its rows
+    from the checkpoint's step on. A fresh run truncates metrics.csv and
+    deletes every checkpoint in `out_dir` first; a resumed run deletes
+    nothing.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    if not os.access(out_dir, os.W_OK):
-        raise ConfigError(f"output dir {out_dir} is not writable")
     steps_per_epoch = len(dataset) // cfg.batch_size
     if steps_per_epoch < 1:
         raise ConfigError(
             f"batch_size {cfg.batch_size} exceeds dataset size {len(dataset)}")
     total_steps = steps_per_epoch * cfg.epochs
-
-    _keep_freed_heap()
-    mpath = metrics_path(out_dir)
-    hash_line = f"# config_hash={config_hash(cfg)}\n"
     if resume is not None:
         state, ckpt_cfg = load_checkpoint(resume)
         if config_hash(ckpt_cfg) != config_hash(cfg):
             raise ConfigError(f"resume config hash {config_hash(ckpt_cfg)} does not match"
                               f" current {config_hash(cfg)}")
+        if state.epoch > cfg.epochs or state.step != state.epoch * steps_per_epoch:
+            raise ConfigError(
+                f"{resume}: checkpoint at epoch {state.epoch}, step {state.step} is not"
+                f" an epoch boundary of this run ({cfg.epochs} epochs of"
+                f" {steps_per_epoch} steps)")
+    os.makedirs(out_dir, exist_ok=True)
+    if not os.access(out_dir, os.W_OK):
+        raise ConfigError(f"output dir {out_dir} is not writable")
+
+    _keep_freed_heap()
+    mpath = metrics_path(out_dir)
+    hash_line = f"# config_hash={config_hash(cfg)}\n"
+    if resume is not None:
         mode = "a" if os.path.exists(mpath) else "w"
         if mode == "a":
             _drop_rows_from(mpath, state.step, hash_line)

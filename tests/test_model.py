@@ -1,10 +1,17 @@
 """Model construction, forward contracts, and parameter gradients."""
 
+import dataclasses
+import os
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from conftest import TINY_ENCODER, TINY_PREDICTOR, param_fd_check
 from mixsiam import autodiff as ad
+from mixsiam import model
 from mixsiam.autodiff import Tensor
 from mixsiam.errors import ConfigError, ShapeError
 from mixsiam.model import ConvStage, EncoderSpec, ModelParams, PredictorSpec, encode, init, predict
@@ -168,6 +175,81 @@ def test_weight_sharing_by_identity():
     params.tensors["backbone.0.conv.w"].data *= 0.5
     after = encode(params, x, "eval").data
     assert not np.array_equal(before, after)
+
+
+# -- the forward-only backbone ----------------------------------------------
+
+
+def _frozen(params):
+    """The view `extract_features` encodes with: detached tensors, same buffers."""
+    return dataclasses.replace(params, tensors={n: t.detach() for n, t in params.named()})
+
+
+def _eval_params(dtype, seed=13):
+    # eval batchnorm reads the running buffers: give them values init does not
+    params = init(EncoderSpec(), PredictorSpec(), seed=seed, dtype=dtype)
+    rng = np.random.default_rng(seed)
+    for name, buf in params.running.items():
+        buf[...] = (rng.uniform(0.5, 2.0, buf.shape) if name.endswith(".var")
+                    else rng.normal(0.0, 0.2, buf.shape))
+    return params
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bsz", [1, 15, 16, 17, 33])
+def test_forward_only_eval_is_bitwise_the_full_batch_graph_path(dtype, bsz):
+    # blocks of ad.CONV_FORWARD_BLOCK samples around the block edges
+    params = _eval_params(dtype)
+    x = _images(np.random.default_rng(bsz), bsz, 16).astype(dtype)
+    graph = encode(params, x, "eval")
+    blocked = encode(_frozen(params), x, "eval")
+    assert graph.requires_grad and not blocked.requires_grad
+    assert blocked.data.dtype == dtype and blocked.shape == (bsz, 32)
+    assert np.array_equal(blocked.data, graph.data)
+
+
+def test_forward_only_eval_does_not_depend_on_the_worker_count(monkeypatch):
+    params = _frozen(_eval_params(np.float32))
+    x = _images(np.random.default_rng(0), 40, 16).astype(np.float32)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert model._backbone_pool()._max_workers == cpus
+    default = encode(params, x, "eval").data
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)  # hand the interpreter between workers often
+        for workers in (1, 2 * cpus + 1):
+            with ThreadPoolExecutor(max_workers=workers) as other:
+                monkeypatch.setattr(model, "_POOL", other)
+                assert np.array_equal(encode(params, x, "eval").data, default), workers
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_train_mode_without_gradients_updates_running_buffers_as_the_graph_path():
+    x = _images(np.random.default_rng(1), 20, 16)
+    graph, frozen = _eval_params(np.float64), _eval_params(np.float64)
+    z_graph = encode(graph, x, "train").data
+    z_frozen = encode(_frozen(frozen), x, "train").data
+    assert np.array_equal(z_frozen, z_graph)
+    for name, buf in graph.running.items():
+        assert np.array_equal(frozen.running[name], buf), name
+
+
+def test_forward_only_eval_raises_a_workers_shape_error(monkeypatch):
+    raised_in = []
+    conv2d = ad.conv2d
+
+    def recording_conv2d(*args, **kwargs):
+        try:
+            return conv2d(*args, **kwargs)
+        except ShapeError:
+            raised_in.append(threading.current_thread())
+            raise
+    monkeypatch.setattr(ad, "conv2d", recording_conv2d)
+    params = _frozen(_eval_params(np.float64))
+    with pytest.raises(ShapeError, match="conv2d"):
+        encode(params, np.zeros((20, 4, 8, 8)), "eval")
+    assert raised_in and threading.main_thread() not in raised_in
 
 
 # -- parameter gradients ---------------------------------------------------

@@ -632,6 +632,10 @@ HEADER_FAULTS = {
     "not_an_object": lambda h: [],
     "no_config": lambda h: {k: v for k, v in h.items() if k != "config"},
     "step_not_an_int": lambda h: h.update(step="7"),
+    "step_negative": lambda h: h.update(step=-1),
+    "step_a_bool": lambda h: h.update(step=True),
+    "epoch_negative": lambda h: h.update(epoch=-1),
+    "epoch_a_bool": lambda h: h.update(epoch=True),
     "unknown_kind": lambda h: h["arrays"][0].update(kind="bogus"),
     "bad_dtype": lambda h: h.update(dtype="zz"),
     "wrong_dtype": lambda h: h.update(dtype="<f4"),
@@ -865,6 +869,47 @@ def test_resume_rejects_a_metrics_csv_of_another_config(tmp_path):
     assert sorted(os.listdir(tmp_path / "other")) == files
 
 
+@pytest.fixture(scope="module")
+def resumable_run(tmp_path_factory):
+    """A finished 2-epoch CLI run of 3 steps an epoch: its config path, its
+    files, and a checkpoint of the fresh state, the run's epoch-0 position."""
+    root = tmp_path_factory.mktemp("resumable")
+    cfg = tiny_config(epochs=2)
+    cpath = root / "config.json"
+    cpath.write_text(json.dumps(config_to_dict(cfg)))
+    assert main(["train", "--config", str(cpath), "--out", str(root / "run")]) == 0
+    save_checkpoint(TrainState.fresh(cfg), cfg, root / "run" / "ckpt_epoch_0.bin")
+    files = {p.name: p.read_bytes() for p in (root / "run").iterdir()}
+    return cfg, cpath, files
+
+
+@given(epoch=st.one_of(st.integers(-2, 4), st.booleans()),
+       step=st.one_of(st.integers(-2, 9), st.booleans()))
+@settings(max_examples=40, deadline=None)
+def test_resume_in_place_replays_its_epoch_or_exits_2_leaving_out_untouched(
+        resumable_run, tmp_path_factory, epoch, step):
+    # checkpoints are written at epoch boundaries only, so a header whose
+    # (epoch, step) is none of them cannot be resumed: the run must refuse
+    # before it drops rows from metrics.csv or writes anything
+    cfg, cpath, files = resumable_run
+    out = tmp_path_factory.mktemp("resume")
+    for name, blob in files.items():
+        (out / name).write_bytes(blob)
+    boundary = (not isinstance(epoch, bool) and not isinstance(step, bool)
+                and 0 <= epoch <= cfg.epochs and step == 3 * epoch)
+    ckpt = out / f"ckpt_epoch_{epoch if boundary else 1}.bin"
+    rewrite_header(ckpt, lambda h: h.update(epoch=epoch, step=step))
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    code = main(["train", "--config", str(cpath), "--out", str(out), "--resume", str(ckpt)])
+    after = {p.name: p.read_bytes() for p in out.iterdir()}
+    if boundary:
+        assert code == 0
+        assert after == files
+    else:
+        assert code == 2
+        assert after == before
+
+
 # -- lam=1 against an independent two-view reference loop -------------------
 
 
@@ -953,3 +998,35 @@ def test_keep_freed_heap_stops_refaulting_freed_blocks():
                              env={**os.environ, "PYTHONPATH": src})
         faults[on] = int(out.stdout)
     assert faults["1"] * 10 < faults["0"]
+
+
+_ARENA_PROBE = """
+import re, threading
+import numpy as np
+from mixsiam import train
+train._keep_freed_heap()
+def peak_kb():  # ru_maxrss would start at the forking parent's size
+    with open("/proc/self/status") as f:
+        return int(re.search(r"VmHWM:\\s*(\\d+) kB", f.read()).group(1))
+def step():  # ten 4 MB temporaries alive at once, then all freed
+    live = [np.ones(1 << 19) for _ in range(10)]
+before = peak_kb()
+worker = threading.Thread(target=step)
+worker.start()
+worker.join()
+step()
+print(peak_kb() - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc" or not os.path.exists("/proc/self/status"),
+                    reason="sets glibc's allocator; reads the peak RSS from /proc")
+def test_keep_freed_heap_shares_one_kept_heap_between_threads():
+    # the blocks a worker thread frees are kept for the main thread to
+    # reuse: with an arena per thread, each arena would keep its own copy
+    src = os.path.dirname(os.path.dirname(train_module.__file__))
+    out = subprocess.run([sys.executable, "-c", _ARENA_PROBE], check=True,
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": src})
+    grown_kb, copy_kb = int(out.stdout), 40 << 10
+    assert copy_kb * 0.9 < grown_kb < copy_kb * 1.5
