@@ -1,19 +1,24 @@
 """Define-by-run reverse-mode autodiff over dense numpy arrays.
 
 Every numeric operation used by the model, losses and probes lives here.
-The graph is rebuilt on every forward pass and garbage-collected once the
-loss tensor is dropped; `backward` walks it exactly once in reverse
-topological order. All kernels are plain single-threaded numpy calls, so
-results are bitwise reproducible run to run.
+The graph is rebuilt on every forward pass; `backward` runs each node's
+rule once, as soon as every consumer of the node has delivered its
+gradient, and frees what the rule kept. Every kernel is a plain numpy
+call, and every gradient is summed in one fixed order, so results are
+bitwise reproducible run to run, on any number of threads.
 
 Op contract: an op records its parents and a backward rule `bw(g)`, a pure
 function of the upstream gradient `g` that returns one gradient per parent,
-in parent order, with `None` for a gradient it does not compute. Returned
-arrays may be views (of `g`, or broadcasts); `backward` is the one place
-that accumulates them onto the parents.
+in parent order, with `None` for a gradient it does not compute. A rule
+never writes into `g`. A returned array is `g` itself or a dense array
+(fresh, or a contiguous reshape of one), never a broadcast or a strided
+view: `backward` hands a node's only gradient to its rule as it is, and
+accumulates several onto a copy.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -131,35 +136,215 @@ def Graph(root):
     return nodes
 
 
-def backward(loss):
+def _sum_in_order(parts, dtype, owned):
+    """The non-None gradients of `parts` summed left to right: the first
+    copied and cast to `dtype`, the others added into that copy. One
+    gradient is returned as it is (cast if needed) unless `owned` asks for
+    a buffer that nothing else holds; no gradient gives None."""
+    if len(parts) != 1:
+        parts = [pg for pg in parts if pg is not None]
+    if not parts or parts[0] is None:
+        return None
+    if len(parts) == 1 and not owned:
+        return np.asarray(parts[0], dtype=dtype)
+    total = np.array(parts[0], dtype=dtype, copy=True)
+    for pg in parts[1:]:
+        total += pg
+    return total
+
+
+def _serial_sweep(order):
+    """Run the rules of `order` in turn on this thread. Returns the
+    (leaf, gradient) pairs."""
+    parts = {id(order[0]): [np.ones_like(order[0].data)]}
+    leaf_grads = []
+    for i, node in enumerate(order):
+        order[i] = None
+        got = parts.pop(id(node), ())
+        rule = node._backward_fn
+        if rule is None:
+            if node._op != "leaf":
+                raise RuntimeError(f"backward: the graph through a {node._op} node"
+                                   " was already swept")
+            g = _sum_in_order(got, node.data.dtype, owned=True)
+            if g is not None:
+                leaf_grads.append((node, g))
+            continue
+        parents = node._parents
+        node._backward_fn, node._parents = None, ()
+        g = _sum_in_order(got, node.data.dtype, owned=False)
+        if g is None:
+            continue
+        for parent, pg in zip(parents, rule(g)):
+            if parent.requires_grad:
+                parts.setdefault(id(parent), []).append(pg)
+    return leaf_grads
+
+
+class _DataflowSweep:
+    """One backward sweep over `order`, whose root is not a leaf, on the
+    calling thread and up to `helpers_max` workers of `pool`: each node's
+    rule runs once all of its gradients have arrived."""
+
+    def __init__(self, order, pool, helpers_max):
+        index = {id(node): i for i, node in enumerate(order)}
+        waiting = [0] * len(order)  # gradients still to arrive, per node
+        edges = []  # per node: None for a leaf, else per parent (index, slot) or None
+        for node in order:
+            if node._backward_fn is None:
+                if node._op != "leaf":
+                    raise RuntimeError(f"backward: the graph through a {node._op} node"
+                                       " was already swept")
+                edges.append(None)
+                continue
+            out = []
+            for parent in node._parents:
+                if parent.requires_grad:
+                    j = index[id(parent)]
+                    out.append((j, waiting[j]))
+                    waiting[j] += 1
+                else:
+                    out.append(None)
+            edges.append(out)
+        self.order, self.edges, self.waiting = order, edges, waiting
+        self.slots = [[None] * n for n in waiting]
+        self.pool, self.helpers_max = pool, helpers_max
+        self.cond = threading.Condition(threading.Lock())
+        self.left = len(order)  # nodes not yet run or summed
+        self.queue = []  # ready (node index, gradient) pairs no thread has taken
+        self.helpers = 0
+        self.error = None
+        self.leaf_grads = []
+
+    def run(self, i, g):
+        """Run node i, then every node this thread readies or dequeues."""
+        order, edges, slots, waiting, cond = (
+            self.order, self.edges, self.slots, self.waiting, self.cond)
+        while self.error is None:
+            node, order[i] = order[i], None
+            out = edges[i]
+            pgs = node._backward_fn(g) if g is not None else (None,) * len(out)
+            node._backward_fn, node._parents = None, ()
+            ready = []
+            with cond:
+                for edge, pg in zip(out, pgs):
+                    if edge is not None:
+                        j, k = edge
+                        slots[j][k] = pg
+                        waiting[j] -= 1
+                        if not waiting[j]:
+                            ready.append(j)
+                self.left -= 1
+            nxt = None
+            for j in sorted(ready):
+                parts, slots[j], parent = slots[j], None, order[j]
+                leaf = edges[j] is None
+                gj = _sum_in_order(parts, parent.data.dtype, owned=leaf)
+                if leaf:  # summed here
+                    order[j] = None
+                    if gj is not None:
+                        self.leaf_grads.append((parent, gj))
+                    with cond:
+                        self.left -= 1
+                elif nxt is None:
+                    nxt = (j, gj)
+                else:
+                    with cond:
+                        self.queue.append((j, gj))
+                        cond.notify()
+                        if self.helpers < self.helpers_max:
+                            try:
+                                self.pool.submit(self.help)
+                            except RuntimeError:  # shut down: the queue drains here
+                                pass
+                            else:
+                                self.helpers += 1
+            if nxt is None:
+                with cond:
+                    if not self.queue:
+                        if not self.left:
+                            cond.notify_all()
+                        return
+                    nxt = self.queue.pop()
+            i, g = nxt
+
+    def fail(self, exc):
+        with self.cond:
+            if self.error is None:
+                self.error = exc
+            self.cond.notify_all()
+
+    def help(self):
+        """A pool worker's share: drain the queue, then leave."""
+        try:
+            with self.cond:
+                if not self.queue:
+                    return
+                nxt = self.queue.pop()
+            self.run(*nxt)
+        except BaseException as exc:  # raised on the calling thread
+            self.fail(exc)
+        finally:
+            with self.cond:
+                self.helpers -= 1
+                self.cond.notify_all()
+
+    def sweep(self):
+        """Run the sweep from the root. Returns the (leaf, gradient) pairs,
+        or raises the first exception of any thread once no helper runs."""
+        cond = self.cond
+        try:
+            nxt = (0, np.ones_like(self.order[0].data))
+            while nxt is not None:
+                self.run(*nxt)
+                with cond:
+                    while not (self.queue or not self.left or self.error is not None):
+                        cond.wait()
+                    nxt = self.queue.pop() if self.queue and self.error is None else None
+        except BaseException as exc:
+            self.fail(exc)
+        with cond:
+            while self.helpers:
+                cond.wait()
+        if self.error is not None:
+            raise self.error
+        return self.leaf_grads
+
+
+def backward(loss, pool=None):
     """Populate `grad` on every requires-grad leaf reachable from `loss`.
 
-    One reverse sweep: every consumer of a node comes before it in
-    reverse topological order, so a node's gradient is complete when the
-    sweep reaches it and is dropped once passed on to its parents. Only
-    leaves (tensors without a backward rule) receive `.grad`; repeated
-    calls without clearing grads accumulate onto it.
+    A node's rule runs once every consumer of the node has delivered its
+    gradient, and several gradients of one node are summed in the order in
+    which the serial sweep over reversed `Graph(loss)` delivers them
+    (consumers by position, then parent slot). Without `pool` this thread
+    runs that serial sweep. With `pool` (a ThreadPoolExecutor), a dataflow
+    sweep runs on this thread and up to max_workers - 1 of the pool's
+    workers: a thread that finishes a node goes on with one newly ready
+    node, sums ready leaves inline and queues any further ready node for a
+    helper, so a graph in which no node readies two others never queues.
+    The bits depend on neither the schedule nor the worker count.
+
+    A node's rule and parent links are dropped once the rule has run, so
+    the sweep frees what the rule kept; sweeping a graph twice raises
+    RuntimeError. Only leaves (tensors without a backward rule) receive
+    `.grad`, each a writable array of its own, assigned once the whole
+    sweep has succeeded; repeated calls without clearing grads accumulate
+    onto it. An exception in a rule, on any thread, stops the sweep and is
+    raised here once no helper is still running, and no `.grad` changes.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.data.shape}")
     if not loss.requires_grad:
         return
-    grads = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(Graph(loss)):
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        if node._backward_fn is None:
-            node.grad = g if node.grad is None else node.grad + g
-            continue
-        for parent, pg in zip(node._parents, node._backward_fn(g)):
-            if pg is None or not parent.requires_grad:
-                continue
-            key = id(parent)
-            if key in grads:
-                grads[key] += pg
-            else:  # copy: a rule may return a view of `g` or a broadcast
-                grads[key] = np.array(pg, dtype=parent.data.dtype, copy=True)
+    order = Graph(loss)[::-1]  # the serial sweep order
+    helpers_max = pool._max_workers - 1 if pool is not None else 0
+    if helpers_max > 0 and loss._backward_fn is not None:
+        leaf_grads = _DataflowSweep(order, pool, helpers_max).sweep()
+    else:
+        leaf_grads = _serial_sweep(order)
+    for leaf, g in leaf_grads:
+        leaf.grad = g if leaf.grad is None else leaf.grad + g
 
 
 # -- elementwise ------------------------------------------------------
@@ -205,14 +390,15 @@ def relu(a, overwrite_a=False):
     like `g`. That is the layout (and the bits) `np.where(mask, g, 0)`
     gives, which the batchnorm-backward sums downstream depend on.
 
-    With `overwrite_a`, a call that needs no gradient writes into a's own
-    buffer; the caller gives `a` up.
+    With `overwrite_a`, the result is written into a's own buffer, with or
+    without a gradient (backward reads only the mask); the caller gives
+    `a` up.
     """
+    into = a.data if overwrite_a else None
     if not a.requires_grad:  # no backward will run, so no mask
-        return _result(np.maximum(a.data, 0, out=a.data if overwrite_a else None),
-                       (a,), None, "relu")
-    out = np.maximum(a.data, 0)
+        return _result(np.maximum(a.data, 0, out=into), (a,), None, "relu")
     mask = a.data > 0
+    out = np.maximum(a.data, 0, out=into)
     bits = np.dtype(f"u{a.data.dtype.itemsize}")
 
     def bw(g):
@@ -233,7 +419,9 @@ def detach(a):
 def matmul(a, b):
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul: shapes {a.data.shape} and {b.data.shape} incompatible")
-    return _result(a.data @ b.data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g), "matmul")
+    return _result(a.data @ b.data, (a, b),
+                   lambda g: (g @ b.data.T if a.requires_grad else None,
+                              a.data.T @ g if b.requires_grad else None), "matmul")
 
 
 def add_bias(x, b):
@@ -246,7 +434,7 @@ def add_bias(x, b):
 def tensor_sum(a):
     """Sum of all elements, as a scalar tensor."""
     return _result(np.sum(a.data, dtype=a.data.dtype), (a,),
-                   lambda g: (np.broadcast_to(g, a.data.shape),), "sum")
+                   lambda g: (np.full(a.data.shape, g, dtype=a.data.dtype),), "sum")
 
 
 def l2_normalize(x):
@@ -277,14 +465,27 @@ def l2_normalize(x):
 # -- normalization ----------------------------------------------------
 
 
-def batchnorm(x, gamma, beta, running_mean, running_var, mode, overwrite_x=False):
+def update_running_stats(running_mean, running_var, mu, unbiased_var):
+    """Move the running buffers BATCHNORM_MOMENTUM of the way to one train
+    batch's mean and unbiased variance, in place."""
+    running_mean *= (1.0 - BATCHNORM_MOMENTUM)
+    running_mean += BATCHNORM_MOMENTUM * mu.astype(running_mean.dtype)
+    running_var *= (1.0 - BATCHNORM_MOMENTUM)
+    running_var += BATCHNORM_MOMENTUM * unbiased_var.astype(running_var.dtype)
+
+
+def batchnorm(x, gamma, beta, running_mean, running_var, mode, overwrite_x=False,
+              deferred=None):
     """Batch normalization over a [B, D] or [B, C, H, W] tensor.
 
     Train mode normalizes with biased batch statistics and updates the
-    running buffers in place (unbiased variance, BATCHNORM_MOMENTUM); eval
-    mode reads the running buffers. `running_mean`/`running_var` are plain
-    numpy arrays, not graph tensors. With `overwrite_x`, a call that needs
-    no gradient normalizes in x's own buffer; the caller gives `x` up.
+    running buffers through update_running_stats (unbiased variance,
+    BATCHNORM_MOMENTUM); given a `deferred` list, it appends that call's
+    arguments to it instead, for the caller to apply. Eval mode reads the
+    running buffers. `running_mean`/`running_var` are plain numpy arrays,
+    not graph tensors. With `overwrite_x`, the centred and scaled input is
+    formed in x's own buffer, with or without a gradient (backward keeps
+    it and never reads x); the caller gives `x` up.
     """
     nd = x.data.ndim
     if nd == 2:
@@ -305,7 +506,7 @@ def batchnorm(x, gamma, beta, running_mean, running_var, mode, overwrite_x=False
     gview = gamma.data.reshape(pshape)
     bview = beta.data.reshape(pshape)
     no_grad = not (x.requires_grad or gamma.requires_grad or beta.requires_grad)
-    into = x.data if overwrite_x and no_grad else None
+    into = x.data if overwrite_x else None
 
     if mode == "train":
         if x.data.shape[0] < 2:
@@ -319,11 +520,11 @@ def batchnorm(x, gamma, beta, running_mean, running_var, mode, overwrite_x=False
         xhat = np.subtract(x.data, mu, out=into)  # centred once; becomes xhat in place below
         var = np.mean(np.square(xhat), axis=axes, keepdims=True)
         inv_std = 1.0 / np.sqrt(var + eps)
-        running_mean *= (1.0 - BATCHNORM_MOMENTUM)
-        running_mean += BATCHNORM_MOMENTUM * mu.reshape(-1).astype(running_mean.dtype)
-        unbiased = var.reshape(-1) * (n / (n - 1))
-        running_var *= (1.0 - BATCHNORM_MOMENTUM)
-        running_var += BATCHNORM_MOMENTUM * unbiased.astype(running_var.dtype)
+        update = (running_mean, running_var, mu.reshape(-1), var.reshape(-1) * (n / (n - 1)))
+        if deferred is None:
+            update_running_stats(*update)
+        else:
+            deferred.append(update)
     else:
         inv_std = 1.0 / np.sqrt(running_var.reshape(pshape).astype(x.data.dtype) + eps)
         xhat = np.subtract(x.data, running_mean.reshape(pshape).astype(x.data.dtype), out=into)
@@ -357,6 +558,18 @@ def batchnorm(x, gamma, beta, running_mean, running_var, mode, overwrite_x=False
 CONV_FORWARD_BLOCK = 16  # samples per padded column block
 
 
+def _tap_reach(t, padding, stride, size, nout):
+    """(input slice, output slice) of the output positions at which kernel
+    tap `t` reads the unpadded input along one axis, or None if it reads
+    only padding there."""
+    lo = max(0, -((t - padding) // stride))
+    hi = min(nout - 1, (size - 1 + padding - t) // stride)
+    if hi < lo:
+        return None
+    start = t + stride * lo - padding
+    return slice(start, start + stride * (hi - lo) + 1, stride), slice(lo, hi + 1)
+
+
 def conv2d(x, k, stride=1, padding=0):
     """Cross-correlate [B, C, H, W] with kernels [K, C, kh, kw].
 
@@ -372,7 +585,8 @@ def conv2d(x, k, stride=1, padding=0):
     Backward is two GEMMs (the kernel grad against the kept columns as one
     [C*kh*kw, B*N] operand, whose order sets the bits of `dk`; the column
     grads against the kernel) plus a col2im scatter back through the same
-    window layout.
+    window layout, tap by tap, clipped to the unpadded input: every input
+    element gets the sums a padded buffer would, in the same order.
     """
     if x.data.ndim != 4 or k.data.ndim != 4 or x.data.shape[1] != k.data.shape[1]:
         raise ShapeError(f"conv2d: shapes {x.data.shape} and {k.data.shape} incompatible")
@@ -409,7 +623,7 @@ def conv2d(x, k, stride=1, padding=0):
     cols = cols.reshape(-1, bsz * n)  # [C*kh*kw, B*N]
 
     def bw(g):
-        dxp = dk = None
+        dx = dk = None
         if k.requires_grad:  # [K, B*N] @ [B*N, C*kh*kw]
             gk = g.reshape(bsz, kout, -1).transpose(1, 0, 2).reshape(kout, -1)
             dk = (gk @ cols.T).reshape(k.data.shape)
@@ -417,14 +631,14 @@ def conv2d(x, k, stride=1, padding=0):
             # [C*kh*kw, K] @ [B, K, N] is already [B, C, kh, kw, hout, wout]
             dcols = (kmat.T @ g.reshape(bsz, kout, n)).reshape(
                 bsz, cin, kh, kw, hout, wout)
-            dxp = np.zeros((bsz, cin, hp, wp), dtype=x.data.dtype)
+            dx = np.zeros(x.data.shape, dtype=x.data.dtype)
             for i in range(kh):
+                down = _tap_reach(i, padding, stride, h, hout)
                 for j in range(kw):
-                    dxp[:, :, i:i + stride * (hout - 1) + 1:stride,
-                        j:j + stride * (wout - 1) + 1:stride] += dcols[:, :, i, j]
-            if padding:
-                dxp = dxp[:, :, padding:padding + h, padding:padding + w]
-        return dxp, dk
+                    across = _tap_reach(j, padding, stride, w, wout)
+                    if down and across:
+                        dx[:, :, down[0], across[0]] += dcols[:, :, i, j, down[1], across[1]]
+        return dx, dk
     return _result(out, (x, k), bw, "conv2d")
 
 
@@ -434,9 +648,11 @@ def global_avg_pool(x):
         raise ShapeError(f"global_avg_pool: expected 4-d input, got shape {x.data.shape}")
     _, _, h, w = x.data.shape
     scale = x.data.dtype.type(1.0 / (h * w))
-    return _result(np.mean(x.data, axis=(2, 3)), (x,),
-                   lambda g: (np.broadcast_to((g * scale)[:, :, None, None], x.data.shape),),
-                   "global_avg_pool")
+    def bw(g):
+        dx = np.empty(x.data.shape, dtype=x.data.dtype)
+        dx[...] = (g * scale)[:, :, None, None]
+        return (dx,)
+    return _result(np.mean(x.data, axis=(2, 3)), (x,), bw, "global_avg_pool")
 
 
 # -- classification head ----------------------------------------------

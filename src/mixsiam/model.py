@@ -5,6 +5,9 @@ only in the loss wiring, so weight sharing is by construction.
 Batch-norm running statistics are updated on every train-mode forward,
 which means each of the three branch passes in a training step advances
 them (documented behavior for weight-shared siamese training).
+`encode_branches` runs the branches on any threads of the package's one
+pool and then advances each layer's statistics in branch order, so the
+buffers get the bits of the serial passes.
 """
 
 from __future__ import annotations
@@ -136,21 +139,23 @@ def init(encoder: EncoderSpec, predictor: PredictorSpec, seed: int, dtype=np.flo
                        encoder=encoder, predictor=predictor)
 
 
-def _bn(params, prefix, x, mode, overwrite_x=False):
+def _bn(params, prefix, x, mode, overwrite_x=False, deferred=None):
     return ad.batchnorm(x,
                         params.tensors[f"{prefix}.bn.gamma"],
                         params.tensors[f"{prefix}.bn.beta"],
                         params.running[f"{prefix}.bn.mean"],
                         params.running[f"{prefix}.bn.var"],
-                        mode, overwrite_x=overwrite_x)
+                        mode, overwrite_x=overwrite_x, deferred=deferred)
 
 
-_POOL = None  # the forward-only backbone's thread pool, made on first use
+_POOL = None  # the package's one thread pool, made on first use
 
 
 def _backbone_pool():
-    """One worker per CPU this process may run on (`taskset` and cpusets
-    restrict it). `concurrent.futures` loads here, not at import."""
+    """The thread pool of the forward-only backbone, the training branches
+    and the backward sweep: one worker per CPU this process may run on
+    (`taskset` and cpusets restrict it). `concurrent.futures` loads here,
+    not at import."""
     global _POOL
     if _POOL is None:
         from concurrent.futures import ThreadPoolExecutor
@@ -162,22 +167,24 @@ def _backbone_pool():
     return _POOL
 
 
-def _backbone(params: ModelParams, h: Tensor, mode: str) -> Tensor:
+def _backbone(params: ModelParams, h: Tensor, mode: str, deferred=None) -> Tensor:
     """conv2d -> batchnorm -> relu per stage, then global average pool.
-    Batchnorm and ReLU consume the intermediate they are given: without
-    gradients they work in its buffer."""
+    Batchnorm and ReLU consume the intermediate they are given and work in
+    its buffer."""
     for i, stage in enumerate(params.encoder.stages):
         h = ad.conv2d(h, params.tensors[f"backbone.{i}.conv.w"], stride=stage.stride, padding=1)
-        h = _bn(params, f"backbone.{i}", h, mode, overwrite_x=True)
+        h = _bn(params, f"backbone.{i}", h, mode, overwrite_x=True, deferred=deferred)
         h = ad.relu(h, overwrite_a=True)
     return ad.global_avg_pool(h)
 
 
-def encode(params: ModelParams, x, mode: str) -> Tensor:
+def encode(params: ModelParams, x, mode: str, deferred=None) -> Tensor:
     """z = f(x): backbone -> global average pool -> projector.
 
     `x` is a [B, C, H, W] array or Tensor; the output is NOT normalized
     (normalization belongs to the loss). Train mode requires batch >= 2.
+    Given a `deferred` list, train mode appends each batchnorm layer's
+    running-stat update to it (see ad.batchnorm) instead of applying it.
 
     An eval-mode call in which neither `x` nor any parameter needs a
     gradient runs the backbone on ad.CONV_FORWARD_BLOCK-sample blocks in
@@ -202,13 +209,35 @@ def encode(params: ModelParams, x, mode: str) -> Tensor:
         pooled = _backbone_pool().map(lambda xb: _backbone(params, xb, mode).data, blocks)
         h = Tensor(np.concatenate(list(pooled)))
     else:
-        h = _backbone(params, x, mode)
+        h = _backbone(params, x, mode, deferred)
     for j in range(3):
         h = ad.matmul(h, params.tensors[f"projector.{j}.w"])
-        h = _bn(params, f"projector.{j}", h, mode, overwrite_x=True)
+        h = _bn(params, f"projector.{j}", h, mode, overwrite_x=True, deferred=deferred)
         if j < 2:
             h = ad.relu(h, overwrite_a=True)
     return h
+
+
+def encode_branches(params: ModelParams, views) -> list:
+    """Train-mode `encode` of each [B, C, H, W] array in `views`, run
+    concurrently on the pool. Each layer's running statistics then advance
+    once per view, in view order: the buffers and the outputs have the bits
+    of one encode call per view in turn. An exception in any branch is
+    raised, with its own type, once every branch has ended, and then no
+    buffer has moved."""
+    from concurrent.futures import wait
+
+    def branch(x):
+        deferred = []
+        return encode(params, x, "train", deferred), deferred
+
+    futures = [_backbone_pool().submit(branch, x) for x in views]
+    wait(futures)
+    outs = [f.result() for f in futures]
+    for _, deferred in outs:
+        for update in deferred:
+            ad.update_running_stats(*update)
+    return [z for z, _ in outs]
 
 
 def predict(params: ModelParams, z: Tensor, mode: str) -> Tensor:

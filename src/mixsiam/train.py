@@ -27,7 +27,8 @@ from .augment import AugmentConfig, LambdaMixPolicy, make_triplet
 from .data import Dataset, SyntheticConfig, batches, load_cifar10, make_synthetic
 from .errors import ConfigError, ParseError, TrainingAborted
 from .loss import AggregationStrategy, aggregate, mix_loss, neg_cosine, siam_loss, total_loss
-from .model import EncoderSpec, ModelParams, PredictorSpec, encode, init, predict
+from .model import (EncoderSpec, ModelParams, PredictorSpec, _backbone_pool, encode_branches,
+                    init, predict)
 
 CHECKPOINT_MAGIC = b"MXSM"
 CHECKPOINT_VERSION = 1
@@ -298,16 +299,18 @@ def train_step(state: TrainState, batch, cfg: TrainConfig, total_steps: int) -> 
     accumulate on the shared tensors before the single SGD update. Weight
     decay is the classic gradient addition wd*param, skipped for
     batch-norm gamma/beta and biases.
+
+    The three encoder passes and the backward sweep run on the package's
+    thread pool; the predictor and the losses run here. Batch-norm
+    statistics advance in branch order and gradients sum in one fixed
+    order, so the step's bytes do not depend on the CPU count.
     """
     params = state.params
     views = make_triplet(batch, cfg.augment, cfg.lambda_mix, state.epoch, cfg.dtype)
-    x1, x2, xm = views.x1, views.x2, views.xm
 
-    z1 = encode(params, x1, "train")
-    z2 = encode(params, x2, "train")
+    z1, z2, zm = encode_branches(params, (views.x1, views.x2, views.xm))
     p1 = predict(params, z1, "train")
     p2 = predict(params, z2, "train")
-    zm = encode(params, xm, "train")
     pm = predict(params, zm, "train")
 
     l_siam = siam_loss(p1, p2, z1, z2, stop_gradient=cfg.stop_gradient)
@@ -317,7 +320,7 @@ def train_step(state: TrainState, batch, cfg: TrainConfig, total_steps: int) -> 
     total, breakdown = total_loss(l_siam, l_mix, cfg.lam)
 
     _check_finite("loss", total.data, state.step)
-    ad.backward(total)
+    ad.backward(total, _backbone_pool())
 
     lr = cosine_lr(state.step, total_steps, cfg.lr_base)
     sq_norm = apply_sgd(params.tensors, state.velocity, lr, cfg.momentum,
@@ -513,7 +516,8 @@ def _keep_freed_heap():
     synthetic_small step. Which regime a step runs in otherwise depends on
     the largest block the process happened to free before it. The kept
     heap is one arena for every thread: a thread arena of its own would
-    keep each evaluation worker's freed blocks beside the main thread's.
+    keep each pool worker's freed blocks (of the training branches, the
+    backward sweep and evaluation) beside the main thread's.
     Sets three process-wide allocator parameters; a no-op where libc has
     no mallopt.
     """

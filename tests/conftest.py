@@ -5,16 +5,22 @@ backward pass in the package is judged against: float64 throughout,
 step 1e-5, relative error below 1e-4 (absolute 1e-7 when the reference
 gradient is ~0).
 
+`serial_backward` is the single-threaded reverse sweep that
+`autodiff.backward` replaced, kept as the bitwise oracle of its gradients;
+`finishes_within` bounds how long a test waits on threaded code.
+
 `tiny_config` is the small float64 training config shared by the trainer,
 probe and CLI tests; TINY_ENCODER and TINY_PREDICTOR are its model, at the
 scale where every finite-difference probe stays cheap. `tensor` builds a
 leaf Tensor from any array-like, which only the tests need.
 """
 
+import threading
+
 import numpy as np
 
 from mixsiam.augment import AugmentConfig
-from mixsiam.autodiff import Tensor
+from mixsiam.autodiff import Graph, Tensor
 from mixsiam.model import ConvStage, EncoderSpec, PredictorSpec
 from mixsiam.train import DatasetConfig, TrainConfig
 
@@ -29,6 +35,52 @@ TINY_PREDICTOR = PredictorSpec(hidden_dim=2)
 def tensor(data, requires_grad=False, dtype=None):
     """Leaf tensor; copies/casts only when `dtype` demands it."""
     return Tensor(np.asarray(data, dtype=dtype), requires_grad=requires_grad)
+
+
+def serial_backward(loss):
+    """One reverse sweep over `Graph(loss)` on this thread: a node's
+    gradient is complete when the sweep reaches it, the first gradient to
+    arrive is copied (cast to the node's dtype) and later ones are added
+    into the copy, and leaves get `.grad` as they are reached. Leaves the
+    graph as it found it."""
+    if not loss.requires_grad:
+        return
+    grads = {id(loss): np.ones_like(loss.data)}
+    for node in reversed(Graph(loss)):
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        if node._backward_fn is None:
+            node.grad = g if node.grad is None else node.grad + g
+            continue
+        for parent, pg in zip(node._parents, node._backward_fn(g)):
+            if pg is None or not parent.requires_grad:
+                continue
+            key = id(parent)
+            if key in grads:
+                grads[key] += pg
+            else:
+                grads[key] = np.array(pg, dtype=parent.data.dtype, copy=True)
+
+
+def finishes_within(seconds, fn, *args):
+    """fn(*args) on a thread of its own: its result, or its exception
+    raised here. Fails the test when fn is still running after `seconds`."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["result"] = fn(*args)
+        except BaseException as exc:  # re-raised on the test's thread
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"{fn.__name__} still running after {seconds} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["result"]
 
 
 def numeric_grad(f, x, step=FD_STEP):

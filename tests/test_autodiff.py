@@ -3,7 +3,14 @@
 Every op with a backward rule is validated against the central-difference
 oracle in conftest; graph behaviors (accumulation, pruning, detach, tie
 rules) are checked analytically since finite differences cannot see them.
+The backward sweep is checked bitwise against conftest's serial sweep on
+random graphs, on pools of several sizes.
 """
+
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,8 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from conftest import check_grads, grad_gap, numeric_grad, tensor
+from conftest import (check_grads, finishes_within, grad_gap, numeric_grad, serial_backward,
+                      tensor)
 from mixsiam import autodiff as ad
+from mixsiam import model
 from mixsiam.autodiff import Tensor
 from mixsiam.errors import ShapeError
 
@@ -88,18 +97,22 @@ def test_relu_is_bitwise_where(dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_relu_overwrite_is_bitwise_and_only_without_grad(dtype):
+@pytest.mark.parametrize("grad", [False, True])
+def test_relu_overwrite_is_bitwise_the_copying_call(dtype, grad):
+    # overwrite_a writes into a's buffer, with or without a gradient: the
+    # output and the backward gradient keep the bytes and the strides
     rng = np.random.default_rng(8)
     a = _channels_last(rng.standard_normal((4, 5, 6, 3)).astype(dtype))
     a.reshape(-1)[:4] = [-0.0, 0.0, np.nan, -np.inf]
-    want = ad.relu(tensor(a))
+    g = rng.standard_normal(a.shape).astype(dtype)
+    want = ad.relu(tensor(a.copy(order="K"), requires_grad=grad))
     given = a.copy(order="K")
-    out = ad.relu(tensor(given), overwrite_a=True)
+    out = ad.relu(tensor(given, requires_grad=grad), overwrite_a=True)
     assert out.data.tobytes() == want.data.tobytes() and out.data.strides == want.data.strides
     assert np.shares_memory(out.data, given)
-    kept = a.copy(order="K")
-    ad.relu(tensor(kept, requires_grad=True), overwrite_a=True)
-    assert kept.tobytes() == a.tobytes()
+    if grad:
+        (dx,), (ref,) = out._backward_fn(g), want._backward_fn(g)
+        assert dx.tobytes() == ref.tobytes() and dx.strides == ref.strides
 
 
 def test_relu_propagates_nan():
@@ -331,10 +344,22 @@ def test_batchnorm_without_grad_is_bitwise_grad_path(dtype, mode, shape, layout)
     assert inplace.data.strides == ref.data.strides and np.shares_memory(inplace.data, given)
     for a, b in zip(buffers, bufs[True]):
         assert a.tobytes() == b.tobytes()
-    kept = x.copy(order="K")
-    ad.batchnorm(tensor(kept), tensor(gamma, requires_grad=True), tensor(beta), rm.copy(),
-                 rv.copy(), mode, overwrite_x=True)
-    assert kept.tobytes() == x.tobytes()  # a gradient needs x: no overwrite
+    # with a gradient too: xhat is formed in x's buffer, and the output, the
+    # running buffers and every backward gradient keep their bytes
+    g = rng.standard_normal(shape).astype(dtype)
+    given = x.copy(order="K")
+    buffers = (rm.copy(), rv.copy())
+    over = ad.batchnorm(tensor(given, requires_grad=True), tensor(gamma, requires_grad=True),
+                        tensor(beta, requires_grad=True), *buffers, mode, overwrite_x=True)
+    full = ad.batchnorm(tensor(x.copy(order="K"), requires_grad=True),
+                        tensor(gamma, requires_grad=True), tensor(beta, requires_grad=True),
+                        rm.copy(), rv.copy(), mode)
+    assert over.data.tobytes() == full.data.tobytes() and over.data.strides == full.data.strides
+    assert given.tobytes() != x.tobytes()
+    for a, b in zip(buffers, bufs[True]):
+        assert a.tobytes() == b.tobytes()
+    for a, b in zip(over._backward_fn(g), full._backward_fn(g)):
+        assert a.tobytes() == b.tobytes() and a.strides == b.strides
 
 
 def test_batchnorm_rejects_singleton_train_batch():
@@ -726,3 +751,191 @@ def test_composite_chain_grad():
         h = ad.global_avg_pool(h)
         return (ad.l2_normalize(h) * w).sum()
     assert check_grads(f, [x, k, gamma, beta]) < 1
+
+
+# -- backward rules ---------------------------------------------------
+
+
+# op -> (forward over the argument tensors, argument shapes)
+RULE_OPS = {
+    "add": (lambda a, b: a + b, [(3, 4), (3, 4)]),
+    "sub": (lambda a, b: a - b, [(3, 4), (3, 4)]),
+    "mul": (lambda a, b: a * b, [(3, 4), (3, 4)]),
+    "add_scalar": (lambda a: a + 2.0, [(3, 4)]),
+    "sub_scalar": (lambda a: a - 2.0, [(3, 4)]),
+    "scale": (lambda a: a * 3.0, [(3, 4)]),
+    "maximum": (ad.maximum, [(3, 4), (3, 4)]),
+    "relu": (ad.relu, [(2, 3, 4, 5)]),
+    "matmul": (ad.matmul, [(3, 4), (4, 2)]),
+    "add_bias": (ad.add_bias, [(3, 4), (4,)]),
+    "sum": (ad.tensor_sum, [(3, 4)]),
+    "l2_normalize": (ad.l2_normalize, [(3, 4)]),
+    "batchnorm_train": (lambda x, g, b: ad.batchnorm(x, g, b, np.zeros(3), np.ones(3), "train"),
+                        [(4, 3, 2, 2), (3,), (3,)]),
+    "batchnorm_eval": (lambda x, g, b: ad.batchnorm(x, g, b, np.zeros(4), np.ones(4), "eval"),
+                       [(6, 4), (4,), (4,)]),
+    "conv2d_padded": (lambda x, k: ad.conv2d(x, k, stride=2, padding=1),
+                      [(2, 2, 5, 5), (3, 2, 3, 3)]),
+    "conv2d": (lambda x, k: ad.conv2d(x, k), [(2, 2, 5, 4), (3, 2, 2, 3)]),
+    "global_avg_pool": (ad.global_avg_pool, [(2, 3, 4, 5)]),
+    "softmax_cross_entropy": (lambda x: ad.softmax_cross_entropy(x, np.array([0, 2, 1])),
+                              [(3, 4)]),
+}
+
+
+@pytest.mark.parametrize("op", list(RULE_OPS))
+def test_rules_never_write_g_and_return_g_or_dense_arrays(op):
+    # backward hands a node's only gradient to its rule as it is, and the
+    # same array may reach several rules: a rule must not write into it,
+    # and must not return a view whose layout a copy would change
+    fn, shapes = RULE_OPS[op]
+    rng = np.random.default_rng(37)
+    out = fn(*(tensor(_rand(rng, *shape), requires_grad=True) for shape in shapes))
+    g = np.asarray(_rand(rng, *out.shape))
+    g.flags.writeable = False  # a write raises
+    for pg in out._backward_fn(g):
+        assert pg is g or np.array(pg, copy=True).strides == np.asarray(pg).strides, op
+
+
+def test_conv2d_dx_of_a_padded_call_is_dense():
+    out = ad.conv2d(tensor(np.ones((2, 3, 6, 6)), requires_grad=True),
+                    tensor(np.ones((4, 3, 3, 3))), stride=2, padding=1)
+    dx, dk = out._backward_fn(np.ones(out.shape))
+    assert dk is None and dx.flags.c_contiguous and dx.base is None
+
+
+# -- the backward sweep -----------------------------------------------
+
+
+def _dag(spec, dtype):
+    """(leaves, loss) of the random graph `spec` describes, built afresh.
+
+    The graph starts from [3, 4] leaves, some trainable, and four shared
+    parameter leaves; each op reads one or two earlier nodes by index, so
+    subexpressions and leaves get several consumers. The loss sums every
+    op output, each scaled by its own constant."""
+    rng = np.random.default_rng(spec["seed"])
+    leaves = [tensor(rng.uniform(-1, 1, (3, 4)).astype(dtype), requires_grad=flag)
+              for flag in spec["trainable"]]
+    w = tensor(rng.uniform(-1, 1, (4, 4)).astype(dtype), requires_grad=True)
+    bias, gamma, beta = (tensor(rng.uniform(0.5, 1.5, 4).astype(dtype), requires_grad=True)
+                         for _ in range(3))
+    ops = {
+        "add": lambda a, b: a + b,
+        "sub": lambda a, b: a - b,
+        "mul": lambda a, b: a * b,
+        "square": lambda a, b: a * a,
+        "scale": lambda a, b: a * 0.75,
+        "maximum": ad.maximum,
+        "relu": lambda a, b: ad.relu(a),
+        "detached": lambda a, b: a * b.detach(),
+        "l2_normalize": lambda a, b: ad.l2_normalize(a),
+        "matmul": lambda a, b: ad.matmul(a, w),
+        "add_bias": lambda a, b: ad.add_bias(a, bias),
+        "batchnorm": lambda a, b: ad.batchnorm(a, gamma, beta, np.zeros(4, dtype),
+                                               np.ones(4, dtype), "train"),
+    }
+    nodes = list(leaves)
+    for op, i, j in spec["ops"]:
+        nodes.append(ops[op](nodes[i % len(nodes)], nodes[j % len(nodes)]))
+    loss = None
+    for node in nodes[len(leaves):]:
+        term = ad.tensor_sum(node) * float(rng.uniform(0.5, 2.0))
+        loss = term if loss is None else loss + term
+    return leaves + [w, bias, gamma, beta], loss
+
+
+DAG_SPECS = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**32 - 1),
+    "trainable": st.lists(st.booleans(), min_size=1, max_size=4),
+    "ops": st.lists(st.tuples(st.sampled_from(["add", "sub", "mul", "square", "scale",
+                                               "maximum", "relu", "detached",
+                                               "l2_normalize", "matmul", "add_bias",
+                                               "batchnorm"]),
+                              st.integers(0, 63), st.integers(0, 63)),
+                    min_size=1, max_size=14),
+})
+
+
+@pytest.fixture(scope="module")
+def sweep_pools():
+    """A one-worker pool, the package's default pool, and a four-worker
+    pool: the sweep on the calling thread alone, on the CPU count, and
+    with more helpers than this host may have CPUs."""
+    with ThreadPoolExecutor(1) as one, ThreadPoolExecutor(4) as four:
+        yield {"one": one, "default": model._backbone_pool(), "four": four}
+
+
+@given(DAG_SPECS, st.sampled_from([np.float32, np.float64]))
+@settings(max_examples=60, deadline=None)
+def test_backward_gives_the_serial_sweeps_bits_on_any_pool(sweep_pools, spec, dtype):
+    want_leaves, want_loss = _dag(spec, dtype)
+    serial_backward(want_loss)
+    want = [t.grad for t in want_leaves]
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)  # hand the interpreter between threads often
+        for name, pool in [("none", None), *sweep_pools.items()]:
+            leaves, loss = _dag(spec, dtype)
+            ad.backward(loss, pool)
+            got = [t.grad for t in leaves]
+            for g, ref in zip(got, want):
+                assert (g is None) == (ref is None), name
+                if g is not None:
+                    assert g.dtype == ref.dtype and g.tobytes() == ref.tobytes(), name
+                    assert g.flags.writeable, name
+            owned = [g for g in got if g is not None]
+            assert not any(np.shares_memory(a, b) for i, a in enumerate(owned)
+                           for b in owned[i + 1:]), name
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_backward_drops_each_rule_and_refuses_a_second_sweep():
+    x = tensor(np.array([1.0, 2.0]), requires_grad=True)
+    y = x * 3.0
+    loss = (y * y).sum()
+    loss.backward()
+    assert all(node._backward_fn is None and node._parents == () for node in (y, loss))
+    with pytest.raises(RuntimeError, match="already swept"):
+        loss.backward()
+
+
+class RuleFault(Exception):
+    pass
+
+
+def _probe_op(x, rule):
+    """x unchanged, with backward rule `rule`."""
+    return Tensor(x.data, requires_grad=True, _parents=(x,), _backward_fn=rule, _op="probe")
+
+
+def test_a_rule_that_raises_on_a_worker_reaches_the_caller_and_sets_no_grad():
+    callers, raised_on = [], []
+
+    def fails_on_a_worker(g):
+        if threading.current_thread() in callers:
+            time.sleep(0.2)  # a helper takes the other branch meanwhile
+            return (g,)
+        raised_on.append(threading.current_thread())
+        raise RuleFault("in a helper")
+
+    def graph(rule):
+        a = tensor(np.ones(3), requires_grad=True)
+        b = tensor(np.ones(3), requires_grad=True)
+        return a, b, _probe_op(a, rule).sum() + _probe_op(b, rule).sum()
+
+    def sweep(loss, pool):
+        callers.append(threading.current_thread())
+        ad.backward(loss, pool)
+
+    with ThreadPoolExecutor(2) as pool:
+        a, b, loss = graph(fails_on_a_worker)
+        with pytest.raises(RuleFault, match="in a helper"):
+            finishes_within(60, sweep, loss, pool)
+        assert len(raised_on) == 1 and raised_on[0] not in callers
+        assert a.grad is None and b.grad is None
+        # the pool is free and the next sweep completes
+        a, b, loss = graph(lambda g: (g,))
+        finishes_within(60, sweep, loss, pool)
+        assert np.array_equal(a.grad, np.ones(3)) and np.array_equal(b.grad, np.ones(3))

@@ -6,12 +6,14 @@ import dataclasses
 import functools
 import json
 import pathlib
+import threading
 
 import numpy as np
 import pytest
 
 import mixsiam.cli as cli
 import mixsiam.eval as eval_module
+import mixsiam.model as model_module
 from conftest import identity_config
 from conftest import tiny_config as shared_tiny_config
 from mixsiam.augment import make_triplet
@@ -212,6 +214,22 @@ def test_runtime_failure_maps_to_exit_1(tmp_path, monkeypatch, capsys):
     cpath = write_config(tmp_path, tiny_config())
     assert main(["train", "--config", cpath, "--out", str(tmp_path / "o")]) == 1
     assert "training aborted" in capsys.readouterr().err
+
+
+def test_a_worker_fault_in_training_exits_1_with_one_line(tmp_path, monkeypatch, capsys):
+    # the branches run on the pool's workers; what one raises reaches main
+    encode_real = model_module.encode
+
+    def encode(params, x, mode, deferred=None):
+        if threading.current_thread() is not threading.main_thread():
+            raise TrainingAborted("non-finite values in a branch")
+        return encode_real(params, x, mode, deferred)
+
+    monkeypatch.setattr(model_module, "encode", encode)
+    cpath = write_config(tmp_path, tiny_config())
+    assert main(["train", "--config", cpath, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == "training aborted: non-finite values in a branch\n"
 
 
 def test_eval_that_mutates_the_encoder_exits_1(tmp_path, monkeypatch, capsys):

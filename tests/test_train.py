@@ -15,6 +15,8 @@ import stat
 import struct
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -25,8 +27,9 @@ from hypothesis import strategies as st
 
 import augment_oracle as oracle
 from augment_oracle import VIEW1_SLOT, VIEW2_SLOT, augment_view, view_rng
-from conftest import TINY_ENCODER, TINY_PREDICTOR, tiny_config
+from conftest import TINY_ENCODER, TINY_PREDICTOR, finishes_within, tiny_config
 from mixsiam import autodiff as ad
+from mixsiam import model as model_module
 from mixsiam import train as train_module
 from mixsiam.augment import LambdaMixPolicy
 from mixsiam.cli import main
@@ -965,6 +968,101 @@ def test_lambda_one_matches_reference_two_view_loop():
     ref = dict(params.named())
     for name, t in state.params.named():
         assert np.array_equal(t.data, ref[name].data), name
+
+
+# -- threads ------------------------------------------------------------------
+
+
+def _artifacts(out):
+    """Bytes of every file a run writes, by name."""
+    return {p.name: p.read_bytes() for p in sorted(Path(out).iterdir())}
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, {"stop_gradient": False}, {"precision": 32},
+], ids=["intact", "no_stop_gradient", "float32"])
+def test_run_bytes_do_not_depend_on_the_pool(tmp_path, monkeypatch, overrides):
+    # the branches and the backward sweep run on model._POOL: one worker,
+    # the default (one per CPU) and more workers than CPUs give one set of
+    # metrics.csv and checkpoint bytes
+    cfg = tiny_config(**overrides)
+    ds = tiny_dataset()
+    runs = {}
+    for workers in (1, None, 4):  # None: the pool _backbone_pool makes
+        monkeypatch.setattr(model_module, "_POOL",
+                            None if workers is None else ThreadPoolExecutor(workers))
+        run(cfg, ds, tmp_path / str(workers))
+        runs[workers] = _artifacts(tmp_path / str(workers))
+        model_module._POOL.shutdown()
+    assert "metrics.csv" in runs[1] and "ckpt_final.bin" in runs[1]
+    assert runs[None] == runs[1] and runs[4] == runs[1]
+
+
+class BranchFault(Exception):
+    pass
+
+
+def _state_bytes(state):
+    return ([t.data.tobytes() for _, t in state.params.named()]
+            + [v.tobytes() for v in state.velocity.values()]
+            + [r.tobytes() for r in state.params.running.values()])
+
+
+def test_a_branch_that_raises_on_a_worker_moves_nothing(monkeypatch):
+    cfg = tiny_config()
+    batch = first_batch(tiny_dataset(), cfg)
+    state = TrainState.fresh(cfg)
+    before = _state_bytes(state)
+    encode_real = model_module.encode
+    threads = []
+
+    def encode(params, x, mode, deferred=None):
+        threads.append(threading.current_thread())
+        if len(threads) == 2:
+            raise BranchFault("second branch")
+        return encode_real(params, x, mode, deferred)
+
+    monkeypatch.setattr(model_module, "encode", encode)
+    with pytest.raises(BranchFault, match="second branch"):
+        finishes_within(60, train_step, state, batch, cfg, 10)
+    assert len(threads) == 3 and threading.main_thread() not in threads
+    assert state.step == 0 and _state_bytes(state) == before  # running buffers too
+    assert all(t.grad is None for _, t in state.params.named())
+    monkeypatch.setattr(model_module, "encode", encode_real)
+    got = finishes_within(60, train_step, state, batch, cfg, 10)
+    fresh = TrainState.fresh(cfg)
+    assert got == train_step(fresh, batch, cfg, total_steps=10)
+    assert _state_bytes(state) == _state_bytes(fresh)
+
+
+def test_a_backward_rule_that_raises_sets_no_grad(monkeypatch):
+    cfg = tiny_config()
+    batch = first_batch(tiny_dataset(), cfg)
+    state = TrainState.fresh(cfg)
+    params_before = _state_bytes(state)[:2 * len(state.params.tensors)]
+    pool_real = ad.global_avg_pool
+
+    def failing_rule(g):
+        raise BranchFault("global_avg_pool backward")
+
+    def global_avg_pool(x):
+        out = pool_real(x)
+        out._backward_fn = failing_rule
+        return out
+
+    monkeypatch.setattr(ad, "global_avg_pool", global_avg_pool)
+    with pytest.raises(BranchFault, match="global_avg_pool backward"):
+        finishes_within(60, train_step, state, batch, cfg, 10)
+    assert state.step == 0 and all(t.grad is None for _, t in state.params.named())
+    assert _state_bytes(state)[:2 * len(state.params.tensors)] == params_before
+    monkeypatch.setattr(ad, "global_avg_pool", pool_real)
+    # the failed step's forward moved the running buffers, and nothing else
+    ref = TrainState.fresh(cfg)
+    for name, buf in state.params.running.items():
+        ref.params.running[name][...] = buf
+    assert finishes_within(60, train_step, state, batch, cfg, 10) == train_step(
+        ref, batch, cfg, total_steps=10)
+    assert _state_bytes(state) == _state_bytes(ref)
 
 
 # -- allocator --------------------------------------------------------------
