@@ -1,11 +1,13 @@
 """Define-by-run reverse-mode autodiff over dense numpy arrays.
 
-Every numeric operation used by the model, losses and probes lives here.
-The graph is rebuilt on every forward pass; `backward` runs each node's
-rule once, as soon as every consumer of the node has delivered its
-gradient, and frees what the rule kept. Every kernel is a plain numpy
-call, and every gradient is summed in one fixed order, so results are
-bitwise reproducible run to run, on any number of threads.
+Every numeric operation used by the model, losses and probes lives here,
+and so does the package's one thread pool (`thread_pool`). The graph is
+rebuilt on every forward pass; `backward` sweeps it on the calling thread
+and the pool's workers, runs each node's rule once, as soon as every
+consumer of the node has delivered its gradient, and frees what the rule
+kept. Every kernel is a plain numpy call, and every gradient is summed in
+one fixed order, so results are bitwise reproducible run to run, on any
+number of threads.
 
 Op contract: an op records its parents and a backward rule `bw(g)`, a pure
 function of the upstream gradient `g` that returns one gradient per parent,
@@ -18,6 +20,7 @@ accumulates several onto a copy.
 
 from __future__ import annotations
 
+import os
 import threading
 
 import numpy as np
@@ -153,40 +156,31 @@ def _sum_in_order(parts, dtype, owned):
     return total
 
 
-def _serial_sweep(order):
-    """Run the rules of `order` in turn on this thread. Returns the
-    (leaf, gradient) pairs."""
-    parts = {id(order[0]): [np.ones_like(order[0].data)]}
-    leaf_grads = []
-    for i, node in enumerate(order):
-        order[i] = None
-        got = parts.pop(id(node), ())
-        rule = node._backward_fn
-        if rule is None:
-            if node._op != "leaf":
-                raise RuntimeError(f"backward: the graph through a {node._op} node"
-                                   " was already swept")
-            g = _sum_in_order(got, node.data.dtype, owned=True)
-            if g is not None:
-                leaf_grads.append((node, g))
-            continue
-        parents = node._parents
-        node._backward_fn, node._parents = None, ()
-        g = _sum_in_order(got, node.data.dtype, owned=False)
-        if g is None:
-            continue
-        for parent, pg in zip(parents, rule(g)):
-            if parent.requires_grad:
-                parts.setdefault(id(parent), []).append(pg)
-    return leaf_grads
+_POOL = None  # the package's one thread pool, made on first use
+
+
+def thread_pool():
+    """The package's one thread pool, shared by the backward sweep, the
+    training branches and the forward-only backbone: one worker per CPU
+    this process may run on (`taskset` and cpusets restrict it).
+    `concurrent.futures` loads here, not at import."""
+    global _POOL
+    if _POOL is None:
+        from concurrent.futures import ThreadPoolExecutor
+        try:
+            workers = len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity call on this platform
+            workers = os.cpu_count() or 1
+        _POOL = ThreadPoolExecutor(max_workers=workers)
+    return _POOL
 
 
 class _DataflowSweep:
     """One backward sweep over `order`, whose root is not a leaf, on the
-    calling thread and up to `helpers_max` workers of `pool`: each node's
-    rule runs once all of its gradients have arrived."""
+    calling thread and up to max_workers - 1 workers of the thread pool:
+    each node's rule runs once all of its gradients have arrived."""
 
-    def __init__(self, order, pool, helpers_max):
+    def __init__(self, order):
         index = {id(node): i for i, node in enumerate(order)}
         waiting = [0] * len(order)  # gradients still to arrive, per node
         edges = []  # per node: None for a leaf, else per parent (index, slot) or None
@@ -208,7 +202,8 @@ class _DataflowSweep:
             edges.append(out)
         self.order, self.edges, self.waiting = order, edges, waiting
         self.slots = [[None] * n for n in waiting]
-        self.pool, self.helpers_max = pool, helpers_max
+        self.pool = thread_pool()
+        self.helpers_max = self.pool._max_workers - 1
         self.cond = threading.Condition(threading.Lock())
         self.left = len(order)  # nodes not yet run or summed
         self.queue = []  # ready (node index, gradient) pairs no thread has taken
@@ -311,38 +306,37 @@ class _DataflowSweep:
         return self.leaf_grads
 
 
-def backward(loss, pool=None):
+def backward(loss):
     """Populate `grad` on every requires-grad leaf reachable from `loss`.
 
-    A node's rule runs once every consumer of the node has delivered its
-    gradient, and several gradients of one node are summed in the order in
-    which the serial sweep over reversed `Graph(loss)` delivers them
-    (consumers by position, then parent slot). Without `pool` this thread
-    runs that serial sweep. With `pool` (a ThreadPoolExecutor), a dataflow
-    sweep runs on this thread and up to max_workers - 1 of the pool's
-    workers: a thread that finishes a node goes on with one newly ready
-    node, sums ready leaves inline and queues any further ready node for a
-    helper, so a graph in which no node readies two others never queues.
-    The bits depend on neither the schedule nor the worker count.
+    One dataflow sweep runs on this thread and up to max_workers - 1
+    workers of `thread_pool()`. A node's rule runs once every consumer of
+    the node has delivered its gradient; a thread that finishes a node
+    goes on with one newly ready node, sums ready leaves inline and queues
+    any further ready node for a helper. A graph in which no node readies
+    two others never queues, and on a one-worker pool every node runs on
+    this thread. Several gradients of one node are summed in the order in
+    which a serial sweep over reversed `Graph(loss)` delivers them
+    (consumers by position, then parent slot), so the bits depend on
+    neither the schedule nor the worker count.
 
     A node's rule and parent links are dropped once the rule has run, so
     the sweep frees what the rule kept; sweeping a graph twice raises
     RuntimeError. Only leaves (tensors without a backward rule) receive
     `.grad`, each a writable array of its own, assigned once the whole
     sweep has succeeded; repeated calls without clearing grads accumulate
-    onto it. An exception in a rule, on any thread, stops the sweep and is
-    raised here once no helper is still running, and no `.grad` changes.
+    onto it. A `loss` that is itself a leaf receives ones. An exception in
+    a rule, on any thread, stops the sweep and is raised here once no
+    helper is still running, and no `.grad` changes.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.data.shape}")
     if not loss.requires_grad:
         return
-    order = Graph(loss)[::-1]  # the serial sweep order
-    helpers_max = pool._max_workers - 1 if pool is not None else 0
-    if helpers_max > 0 and loss._backward_fn is not None:
-        leaf_grads = _DataflowSweep(order, pool, helpers_max).sweep()
+    if loss._op == "leaf":  # no rule to run: the gradient of a leaf by itself
+        leaf_grads = [(loss, np.ones_like(loss.data))]
     else:
-        leaf_grads = _serial_sweep(order)
+        leaf_grads = _DataflowSweep(Graph(loss)[::-1]).sweep()
     for leaf, g in leaf_grads:
         leaf.grad = g if leaf.grad is None else leaf.grad + g
 

@@ -85,13 +85,15 @@ class SweepSpec:
 
 
 def _load_json(path, what):
-    if not os.path.exists(path):
-        raise ConfigError(f"{what} file not found: {path}")
-    with open(path) as f:
-        try:
-            return json.load(f)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{what} file {path} is not valid JSON: {e}") from None
+    try:
+        with open(path, "rb") as f:
+            return json.loads(f.read().decode())
+    except FileNotFoundError:
+        raise ConfigError(f"{what} file not found: {path}") from None
+    except OSError as e:  # a directory, or no permission to read
+        raise ConfigError(f"{what} file {path} cannot be read: {e}") from None
+    except ValueError as e:  # bad UTF-8 or bad JSON
+        raise ConfigError(f"{what} file {path} is not valid JSON: {e}") from None
 
 
 def ablation_grid_from_dict(payload) -> AblationGrid:

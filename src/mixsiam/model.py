@@ -6,13 +6,12 @@ Batch-norm running statistics are updated on every train-mode forward,
 which means each of the three branch passes in a training step advances
 them (documented behavior for weight-shared siamese training).
 `encode_branches` runs the branches on any threads of the package's one
-pool and then advances each layer's statistics in branch order, so the
-buffers get the bits of the serial passes.
+pool (`autodiff.thread_pool`) and then advances each layer's statistics
+in branch order, so the buffers get the bits of the serial passes.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,25 +147,6 @@ def _bn(params, prefix, x, mode, overwrite_x=False, deferred=None):
                         mode, overwrite_x=overwrite_x, deferred=deferred)
 
 
-_POOL = None  # the package's one thread pool, made on first use
-
-
-def _backbone_pool():
-    """The thread pool of the forward-only backbone, the training branches
-    and the backward sweep: one worker per CPU this process may run on
-    (`taskset` and cpusets restrict it). `concurrent.futures` loads here,
-    not at import."""
-    global _POOL
-    if _POOL is None:
-        from concurrent.futures import ThreadPoolExecutor
-        try:
-            workers = len(os.sched_getaffinity(0))
-        except AttributeError:  # no affinity call on this platform
-            workers = os.cpu_count() or 1
-        _POOL = ThreadPoolExecutor(max_workers=workers)
-    return _POOL
-
-
 def _backbone(params: ModelParams, h: Tensor, mode: str, deferred=None) -> Tensor:
     """conv2d -> batchnorm -> relu per stage, then global average pool.
     Batchnorm and ReLU consume the intermediate they are given and work in
@@ -206,7 +186,7 @@ def encode(params: ModelParams, x, mode: str, deferred=None) -> Tensor:
         step = ad.CONV_FORWARD_BLOCK
         blocks = [Tensor(x.data[start:start + step])
                   for start in range(0, x.data.shape[0], step)]
-        pooled = _backbone_pool().map(lambda xb: _backbone(params, xb, mode).data, blocks)
+        pooled = ad.thread_pool().map(lambda xb: _backbone(params, xb, mode).data, blocks)
         h = Tensor(np.concatenate(list(pooled)))
     else:
         h = _backbone(params, x, mode, deferred)
@@ -231,7 +211,7 @@ def encode_branches(params: ModelParams, views) -> list:
         deferred = []
         return encode(params, x, "train", deferred), deferred
 
-    futures = [_backbone_pool().submit(branch, x) for x in views]
+    futures = [ad.thread_pool().submit(branch, x) for x in views]
     wait(futures)
     outs = [f.result() for f in futures]
     for _, deferred in outs:

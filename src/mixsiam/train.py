@@ -27,8 +27,7 @@ from .augment import AugmentConfig, LambdaMixPolicy, make_triplet
 from .data import Dataset, SyntheticConfig, batches, load_cifar10, make_synthetic
 from .errors import ConfigError, ParseError, TrainingAborted
 from .loss import AggregationStrategy, aggregate, mix_loss, neg_cosine, siam_loss, total_loss
-from .model import (EncoderSpec, ModelParams, PredictorSpec, _backbone_pool, encode_branches,
-                    init, predict)
+from .model import EncoderSpec, ModelParams, PredictorSpec, encode_branches, init, predict
 
 CHECKPOINT_MAGIC = b"MXSM"
 CHECKPOINT_VERSION = 1
@@ -320,7 +319,7 @@ def train_step(state: TrainState, batch, cfg: TrainConfig, total_steps: int) -> 
     total, breakdown = total_loss(l_siam, l_mix, cfg.lam)
 
     _check_finite("loss", total.data, state.step)
-    ad.backward(total, _backbone_pool())
+    ad.backward(total)
 
     lr = cosine_lr(state.step, total_steps, cfg.lr_base)
     sq_norm = apply_sgd(params.tensors, state.velocity, lr, cfg.momentum,
@@ -483,10 +482,14 @@ def _drop_rows_from(mpath, step, hash_line):
     """Keep the two header lines and the complete rows before `step`: a run
     resumed in place must not repeat the rows its first attempt wrote past
     the checkpoint, nor keep a row that a crash cut short. A file whose
-    first line is not `hash_line` holds another config's rows: raises
-    ConfigError and leaves it as it is."""
-    with open(mpath) as f:
-        lines = f.readlines()
+    first line is not `hash_line` holds another config's rows, and one
+    that is not UTF-8 is no metrics file: either raises ConfigError and
+    leaves it as it is."""
+    try:
+        with open(mpath, encoding="utf-8") as f:
+            lines = f.readlines()
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{mpath} is not a metrics file: {e}") from None
     if lines[:1] != [hash_line]:
         head = lines[0].rstrip("\n") if lines else ""
         raise ConfigError(f"{mpath} holds the metrics of another config: its first line"

@@ -7,6 +7,7 @@ The backward sweep is checked bitwise against conftest's serial sweep on
 random graphs, on pools of several sizes.
 """
 
+import contextlib
 import sys
 import threading
 import time
@@ -21,7 +22,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from conftest import (check_grads, finishes_within, grad_gap, numeric_grad, serial_backward,
                       tensor)
 from mixsiam import autodiff as ad
-from mixsiam import model
 from mixsiam.autodiff import Tensor
 from mixsiam.errors import ShapeError
 
@@ -615,6 +615,18 @@ def test_backward_writes_grad_on_leaves_only():
                           + x.data * x.data * w.data)
 
 
+@pytest.mark.parametrize("value", [np.float64(2.5), np.array([2.5], dtype=np.float32)])
+def test_backward_of_a_scalar_leaf_gives_it_ones_and_accumulates(value):
+    x = tensor(value, requires_grad=True)
+    x.backward()
+    assert x.grad.dtype == x.data.dtype and x.grad.shape == x.data.shape
+    assert np.array_equal(x.grad, np.ones_like(x.data))
+    assert x.grad.flags.writeable and not np.shares_memory(x.grad, x.data)
+    x.backward()
+    assert np.array_equal(x.grad, np.full_like(x.data, 2.0))
+    assert np.array_equal(x.data, value)
+
+
 def test_backward_requires_scalar():
     x = tensor(np.zeros((2, 2)), requires_grad=True)
     with pytest.raises(ShapeError, match="scalar"):
@@ -857,13 +869,23 @@ DAG_SPECS = st.fixed_dictionaries({
 })
 
 
+@contextlib.contextmanager
+def package_pool(pool):
+    """Run the block with `pool` as the package's thread pool."""
+    saved, ad._POOL = ad._POOL, pool
+    try:
+        yield
+    finally:
+        ad._POOL = saved
+
+
 @pytest.fixture(scope="module")
 def sweep_pools():
     """A one-worker pool, the package's default pool, and a four-worker
     pool: the sweep on the calling thread alone, on the CPU count, and
     with more helpers than this host may have CPUs."""
     with ThreadPoolExecutor(1) as one, ThreadPoolExecutor(4) as four:
-        yield {"one": one, "default": model._backbone_pool(), "four": four}
+        yield {"one": one, "default": ad.thread_pool(), "four": four}
 
 
 @given(DAG_SPECS, st.sampled_from([np.float32, np.float64]))
@@ -875,9 +897,10 @@ def test_backward_gives_the_serial_sweeps_bits_on_any_pool(sweep_pools, spec, dt
     interval = sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-6)  # hand the interpreter between threads often
-        for name, pool in [("none", None), *sweep_pools.items()]:
+        for name, pool in sweep_pools.items():
             leaves, loss = _dag(spec, dtype)
-            ad.backward(loss, pool)
+            with package_pool(pool):
+                ad.backward(loss)
             got = [t.grad for t in leaves]
             for g, ref in zip(got, want):
                 assert (g is None) == (ref is None), name
@@ -925,17 +948,60 @@ def test_a_rule_that_raises_on_a_worker_reaches_the_caller_and_sets_no_grad():
         b = tensor(np.ones(3), requires_grad=True)
         return a, b, _probe_op(a, rule).sum() + _probe_op(b, rule).sum()
 
-    def sweep(loss, pool):
+    def sweep(loss):
         callers.append(threading.current_thread())
-        ad.backward(loss, pool)
+        ad.backward(loss)
 
-    with ThreadPoolExecutor(2) as pool:
+    with ThreadPoolExecutor(2) as pool, package_pool(pool):
         a, b, loss = graph(fails_on_a_worker)
         with pytest.raises(RuleFault, match="in a helper"):
-            finishes_within(60, sweep, loss, pool)
+            finishes_within(60, sweep, loss)
         assert len(raised_on) == 1 and raised_on[0] not in callers
         assert a.grad is None and b.grad is None
         # the pool is free and the next sweep completes
         a, b, loss = graph(lambda g: (g,))
-        finishes_within(60, sweep, loss, pool)
+        finishes_within(60, sweep, loss)
         assert np.array_equal(a.grad, np.ones(3)) and np.array_equal(b.grad, np.ones(3))
+
+
+class CountingPool(ThreadPoolExecutor):
+    """A thread pool that counts the tasks submitted to it."""
+
+    def __init__(self, workers):
+        super().__init__(workers)
+        self.submits = 0
+
+    def submit(self, *args, **kwargs):
+        self.submits += 1
+        return super().submit(*args, **kwargs)
+
+
+def test_a_one_worker_pool_runs_every_rule_on_the_calling_thread():
+    ran_on = []
+
+    def traced(rule):
+        def run(g):
+            ran_on.append(threading.current_thread())
+            return rule(g)
+        return run
+
+    def branching_graph():
+        # the root's rule readies both sums at once
+        a = tensor(np.ones(3), requires_grad=True)
+        b = tensor(np.ones(3), requires_grad=True)
+        loss = (a * 2.0).sum() + (b * 3.0).sum()
+        nodes = [node for node in ad.Graph(loss) if node._backward_fn is not None]
+        for node in nodes:
+            node._backward_fn = traced(node._backward_fn)
+        return a, b, loss, len(nodes)
+
+    with CountingPool(2) as two, package_pool(two):
+        ad.backward(branching_graph()[2])
+    assert two.submits == 1  # with a worker to spare, the sweep asks it to help
+    ran_on.clear()
+    with CountingPool(1) as one, package_pool(one):
+        a, b, loss, rules = branching_graph()
+        ad.backward(loss)
+    assert one.submits == 0
+    assert ran_on == [threading.current_thread()] * rules and rules == 5
+    assert np.array_equal(a.grad, np.full(3, 2.0)) and np.array_equal(b.grad, np.full(3, 3.0))

@@ -93,6 +93,30 @@ def test_train_invalid_json_exits_2(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "ablate", "sweep-lambda"])
+def test_a_config_that_is_not_utf8_exits_2_with_one_line(tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe" + b"{}")
+    out = tmp_path / "o"
+    assert main([command, "--config", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(bad) in err and "utf-8" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "ablate", "sweep-lambda"])
+def test_a_config_that_is_a_directory_exits_2_with_one_line(tmp_path, capsys, command):
+    folder = tmp_path / "configs"
+    folder.mkdir()
+    out = tmp_path / "o"
+    assert main([command, "--config", str(folder), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{folder} cannot be read" in err
+    assert not out.exists()
+
+
 def test_train_unknown_field_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"learning_rate": 0.1}))

@@ -11,7 +11,6 @@ import pytest
 
 from conftest import TINY_ENCODER, TINY_PREDICTOR, param_fd_check
 from mixsiam import autodiff as ad
-from mixsiam import model
 from mixsiam.autodiff import Tensor
 from mixsiam.errors import ConfigError, ShapeError
 from mixsiam.model import ConvStage, EncoderSpec, ModelParams, PredictorSpec, encode, init, predict
@@ -212,14 +211,14 @@ def test_forward_only_eval_does_not_depend_on_the_worker_count(monkeypatch):
     params = _frozen(_eval_params(np.float32))
     x = _images(np.random.default_rng(0), 40, 16).astype(np.float32)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    assert model._backbone_pool()._max_workers == cpus
+    assert ad.thread_pool()._max_workers == cpus
     default = encode(params, x, "eval").data
     interval = sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-6)  # hand the interpreter between workers often
         for workers in (1, 2 * cpus + 1):
             with ThreadPoolExecutor(max_workers=workers) as other:
-                monkeypatch.setattr(model, "_POOL", other)
+                monkeypatch.setattr(ad, "_POOL", other)
                 assert np.array_equal(encode(params, x, "eval").data, default), workers
     finally:
         sys.setswitchinterval(interval)

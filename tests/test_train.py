@@ -872,6 +872,28 @@ def test_resume_rejects_a_metrics_csv_of_another_config(tmp_path):
     assert sorted(os.listdir(tmp_path / "other")) == files
 
 
+def test_resume_rejects_a_metrics_csv_that_is_not_utf8(tmp_path, capsys):
+    cfg = tiny_config()
+    cpath = tmp_path / "cfg.json"
+    cpath.write_text(json.dumps(config_to_dict(cfg)))
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cpath), "--out", str(out)]) == 0
+    mpath = out / "metrics.csv"
+    with open(mpath, "ab") as f:
+        f.write(b"\xff\xfe")
+    before = mpath.read_bytes()
+    files = sorted(os.listdir(out))
+    with pytest.raises(ConfigError, match="not a metrics file"):
+        run(cfg, tiny_dataset(), out, resume=checkpoint_path(out, 1))
+    capsys.readouterr()
+    assert main(["train", "--config", str(cpath), "--out", str(out),
+                 "--resume", str(checkpoint_path(out, 1))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "metrics.csv" in err
+    assert mpath.read_bytes() == before
+    assert sorted(os.listdir(out)) == files
+
+
 @pytest.fixture(scope="module")
 def resumable_run(tmp_path_factory):
     """A finished 2-epoch CLI run of 3 steps an epoch: its config path, its
@@ -982,18 +1004,17 @@ def _artifacts(out):
     {}, {"stop_gradient": False}, {"precision": 32},
 ], ids=["intact", "no_stop_gradient", "float32"])
 def test_run_bytes_do_not_depend_on_the_pool(tmp_path, monkeypatch, overrides):
-    # the branches and the backward sweep run on model._POOL: one worker,
-    # the default (one per CPU) and more workers than CPUs give one set of
-    # metrics.csv and checkpoint bytes
+    # the branches and the backward sweep run on autodiff._POOL: one
+    # worker, the default (one per CPU) and more workers than CPUs give one
+    # set of metrics.csv and checkpoint bytes
     cfg = tiny_config(**overrides)
     ds = tiny_dataset()
     runs = {}
-    for workers in (1, None, 4):  # None: the pool _backbone_pool makes
-        monkeypatch.setattr(model_module, "_POOL",
-                            None if workers is None else ThreadPoolExecutor(workers))
+    for workers in (1, None, 4):  # None: the pool thread_pool makes
+        monkeypatch.setattr(ad, "_POOL", None if workers is None else ThreadPoolExecutor(workers))
         run(cfg, ds, tmp_path / str(workers))
         runs[workers] = _artifacts(tmp_path / str(workers))
-        model_module._POOL.shutdown()
+        ad._POOL.shutdown()
     assert "metrics.csv" in runs[1] and "ckpt_final.bin" in runs[1]
     assert runs[None] == runs[1] and runs[4] == runs[1]
 
