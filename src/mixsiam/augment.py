@@ -91,6 +91,8 @@ class AugmentConfig:
         alo, ahi = self.aspect_ratio_range
         if not 0 < alo <= ahi:
             raise ConfigError(f"aspect_ratio_range must satisfy 0 < lo <= hi, got {self.aspect_ratio_range}")
+        if self.seed < 0:
+            raise ConfigError(f"augment seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -549,9 +549,6 @@ def batchnorm(x, gamma, beta, running_mean, running_var, mode, overwrite_x=False
 # -- convolution ------------------------------------------------------
 
 
-CONV_FORWARD_BLOCK = 16  # samples per padded column block
-
-
 def _tap_reach(t, padding, stride, size, nout):
     """(input slice, output slice) of the output positions at which kernel
     tap `t` reads the unpadded input along one axis, or None if it reads
@@ -567,15 +564,13 @@ def _tap_reach(t, padding, stride, size, nout):
 def conv2d(x, k, stride=1, padding=0):
     """Cross-correlate [B, C, H, W] with kernels [K, C, kh, kw].
 
-    Forward runs as an im2col matmul, CONV_FORWARD_BLOCK samples at a
-    time: each block is copied into one zeroed, padded buffer, laid out as
-    channel-major columns [C, kh, kw, b, hout, wout] by kh*kw strided slice
-    copies, and multiplied per sample through the [b, N, C*kh*kw] view
-    while it is still in cache. The output has the [B, N, K] memory layout
-    of a row-per-window im2col, and its bits wherever BLAS packs both
-    operand layouts alike. A call that needs a gradient writes each block
-    into its slice of one [C, kh, kw, B, hout, wout] buffer and keeps it;
-    one that needs none reuses a block-sized buffer and keeps nothing.
+    Forward runs as an im2col matmul: the batch is copied into one zeroed,
+    padded buffer, laid out as channel-major columns [C, kh, kw, B, hout,
+    wout] by kh*kw strided slice copies, and multiplied per sample through
+    the [B, N, C*kh*kw] view. The output has the [B, N, K] memory layout of
+    a row-per-window im2col, and its bits wherever BLAS packs both operand
+    layouts alike. A call that needs no gradient keeps nothing; one that
+    does keeps the columns for backward.
     Backward is two GEMMs (the kernel grad against the kept columns as one
     [C*kh*kw, B*N] operand, whose order sets the bits of `dk`; the column
     grads against the kernel) plus a col2im scatter back through the same
@@ -594,25 +589,18 @@ def conv2d(x, k, stride=1, padding=0):
     wout = (wp - kw) // stride + 1
 
     kmat = k.data.reshape(kout, -1)
-    keep = x.requires_grad or k.requires_grad
-    n, blk = hout * wout, min(bsz, CONV_FORWARD_BLOCK)
-    xp = np.zeros((blk, cin, hp, wp), dtype=x.data.dtype)
-    cols = np.empty((cin, kh, kw, bsz if keep else blk, hout, wout), dtype=x.data.dtype)
-    out = np.empty((bsz, n, kout), dtype=x.data.dtype)
-    for start in range(0, bsz, blk):
-        stop = min(start + blk, bsz)
-        xb = xp[:stop - start]
-        xb[:, :, padding:padding + h, padding:padding + w] = x.data[start:stop]
-        xt = xb.transpose(1, 0, 2, 3)
-        cb = cols[:, :, :, start:stop] if keep else cols[:, :, :, :stop - start]
-        for i in range(kh):
-            for j in range(kw):
-                cb[:, i, j] = xt[:, :, i:i + stride * (hout - 1) + 1:stride,
-                                 j:j + stride * (wout - 1) + 1:stride]
-        np.matmul(cb.reshape(-1, stop - start, n).transpose(1, 2, 0), kmat.T,
-                  out=out[start:stop])
+    n = hout * wout
+    xp = np.zeros((bsz, cin, hp, wp), dtype=x.data.dtype)
+    xp[:, :, padding:padding + h, padding:padding + w] = x.data
+    xt = xp.transpose(1, 0, 2, 3)
+    cols = np.empty((cin, kh, kw, bsz, hout, wout), dtype=x.data.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i, j] = xt[:, :, i:i + stride * (hout - 1) + 1:stride,
+                               j:j + stride * (wout - 1) + 1:stride]
+    out = np.matmul(cols.reshape(-1, bsz, n).transpose(1, 2, 0), kmat.T)
     out = out.transpose(0, 2, 1).reshape(bsz, kout, hout, wout)
-    if not keep:
+    if not (x.requires_grad or k.requires_grad):
         return _result(out, (x, k), None, "conv2d")
     cols = cols.reshape(-1, bsz * n)  # [C*kh*kw, B*N]
 

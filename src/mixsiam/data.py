@@ -85,6 +85,8 @@ def _parse_cifar_file(path, start_index=0):
             raw = f.read()
     except FileNotFoundError:
         raise ParseError(f"{path}: file not found") from None
+    except OSError as e:  # a directory, or no permission to read
+        raise ParseError(f"{path}: cannot be read: {e}") from None
     extra = len(raw) % CIFAR_RECORD_BYTES
     if extra or not raw:
         raise ParseError(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,11 +85,9 @@ def extract_features(params: ModelParams, dataset: Dataset, output_size=None,
     running buffers, so on OpenBLAS's SkylakeX kernel the features do not
     depend on batch_size; the Haswell kernel rounds the projector's matmul
     by batch size (ROADMAP.md, "No guarantee rests on one BLAS kernel").
-    The encoder runs on detached views of the parameters (same buffers),
-    so no batch builds a differentiation graph, and `encode` runs each
+    Eval-mode `encode` builds no differentiation graph and runs each
     batch's backbone in parallel 16-sample blocks.
     """
-    frozen = replace(params, tensors={name: t.detach() for name, t in params.named()})
     first = next(iter(params.named()))[1]
     dtype = first.data.dtype
     resize = (output_size is not None
@@ -103,7 +101,7 @@ def extract_features(params: ModelParams, dataset: Dataset, output_size=None,
                                      dtype=dtype)
         else:
             x = stack_pixels(batch, dtype)
-        chunks.append(encode(frozen, x, "eval").data)
+        chunks.append(encode(params, x, "eval").data)
     return np.concatenate(chunks, axis=0), dataset.labels()
 
 

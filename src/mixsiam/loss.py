@@ -71,8 +71,7 @@ def siam_loss(p1, p2, z1, z2, stop_gradient=True) -> Tensor:
 
 
 def aggregate(z1: Tensor, z2: Tensor, strategy: AggregationStrategy) -> Tensor:
-    """z_f from the two view embeddings. The caller detaches the result
-    before feeding mix_loss."""
+    """z_f from the two view embeddings; mix_loss detaches it."""
     if strategy.kind == "maximum":
         return ad.maximum(z1, z2)
     if strategy.kind == "average":
@@ -80,11 +79,13 @@ def aggregate(z1: Tensor, z2: Tensor, strategy: AggregationStrategy) -> Tensor:
     return z1
 
 
-def mix_loss(p_m: Tensor, z_f_detached: Tensor) -> Tensor:
-    """D(p_m, z_f) where z_f must already carry no gradient."""
-    assert not z_f_detached.requires_grad, \
-        "mix_loss target must be detached (stopgrad(z_f))"
-    return neg_cosine(p_m, z_f_detached)
+def mix_loss(p_m: Tensor, z_f: Tensor, stop_gradient=True) -> Tensor:
+    """Mixed-branch loss D(p_m, detach(z_f)).
+
+    `stop_gradient=False` is the collapse ablation, as in siam_loss: the
+    target stays attached and gradients flow into z_f too.
+    """
+    return neg_cosine(p_m, z_f.detach() if stop_gradient else z_f)
 
 
 def total_loss(l_siam: Tensor, l_mix: Tensor, lam: float):

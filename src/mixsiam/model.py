@@ -12,7 +12,7 @@ in branch order, so the buffers get the bits of the serial passes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
 
 IN_CHANNELS = 3  # every dataset is RGB, and color jitter and grayscale need 3
+CONV_FORWARD_BLOCK = 16  # samples per eval-mode backbone block
 
 
 @dataclass(frozen=True)
@@ -166,8 +167,9 @@ def encode(params: ModelParams, x, mode: str, deferred=None) -> Tensor:
     Given a `deferred` list, train mode appends each batchnorm layer's
     running-stat update to it (see ad.batchnorm) instead of applying it.
 
-    An eval-mode call in which neither `x` nor any parameter needs a
-    gradient runs the backbone on ad.CONV_FORWARD_BLOCK-sample blocks in
+    Eval mode is forward-only: it runs on detached views of `params` (the
+    same buffers), so no call builds a graph and the output carries no
+    gradient. Its backbone runs on CONV_FORWARD_BLOCK-sample blocks in
     parallel and concatenates the pooled rows in block order. Each eval
     backbone op works on each sample alone, so the bytes depend on neither
     the split nor the worker count. The projector always runs on the
@@ -181,11 +183,10 @@ def encode(params: ModelParams, x, mode: str, deferred=None) -> Tensor:
     if mode == "train" and x.data.shape[0] < 2:
         raise ShapeError(
             f"encode: train mode needs batch size >= 2, got {x.data.shape[0]}")
-    if mode == "eval" and not (x.requires_grad
-                               or any(t.requires_grad for t in params.tensors.values())):
-        step = ad.CONV_FORWARD_BLOCK
-        blocks = [Tensor(x.data[start:start + step])
-                  for start in range(0, x.data.shape[0], step)]
+    if mode == "eval":
+        params = replace(params, tensors={n: t.detach() for n, t in params.named()})
+        blocks = [Tensor(x.data[start:start + CONV_FORWARD_BLOCK])
+                  for start in range(0, x.data.shape[0], CONV_FORWARD_BLOCK)]
         pooled = ad.thread_pool().map(lambda xb: _backbone(params, xb, mode).data, blocks)
         h = Tensor(np.concatenate(list(pooled)))
     else:

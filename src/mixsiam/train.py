@@ -26,7 +26,7 @@ from . import autodiff as ad
 from .augment import AugmentConfig, LambdaMixPolicy, make_triplet
 from .data import Dataset, SyntheticConfig, batches, load_cifar10, make_synthetic
 from .errors import ConfigError, ParseError, TrainingAborted
-from .loss import AggregationStrategy, aggregate, mix_loss, neg_cosine, siam_loss, total_loss
+from .loss import AggregationStrategy, aggregate, mix_loss, siam_loss, total_loss
 from .model import EncoderSpec, ModelParams, PredictorSpec, encode_branches, init, predict
 
 CHECKPOINT_MAGIC = b"MXSM"
@@ -51,6 +51,8 @@ class DatasetConfig:
     def __post_init__(self):
         if self.kind not in ("synthetic", "cifar10"):
             raise ConfigError(f"dataset kind must be synthetic|cifar10, got {self.kind!r}")
+        if self.seed < 0:
+            raise ConfigError(f"dataset seed must be >= 0, got {self.seed}")
 
     def build(self) -> Dataset:
         if self.kind == "synthetic":
@@ -95,6 +97,8 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.precision not in (32, 64):
             raise ConfigError(f"precision must be 32 or 64, got {self.precision}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def dtype(self):
@@ -314,8 +318,7 @@ def train_step(state: TrainState, batch, cfg: TrainConfig, total_steps: int) -> 
 
     l_siam = siam_loss(p1, p2, z1, z2, stop_gradient=cfg.stop_gradient)
     z_f = aggregate(z1, z2, cfg.aggregation)
-    # without stop-gradient (the collapse ablation) the target stays attached
-    l_mix = mix_loss(pm, z_f.detach()) if cfg.stop_gradient else neg_cosine(pm, z_f)
+    l_mix = mix_loss(pm, z_f, cfg.stop_gradient)
     total, breakdown = total_loss(l_siam, l_mix, cfg.lam)
 
     _check_finite("loss", total.data, state.step)
@@ -427,9 +430,12 @@ def load_checkpoint(path) -> tuple:
     The header must list exactly the arrays that `save_checkpoint` writes
     for its config, in order; the payload is read in that order.
     """
-    with open(path, "rb") as f:
-        header = _read_header(f, path)
-        payload = f.read()
+    try:
+        with open(path, "rb") as f:
+            header = _read_header(f, path)
+            payload = f.read()
+    except OSError as e:  # a directory, or no permission to read
+        raise ParseError(f"{path}: checkpoint cannot be read: {e}") from None
     if not isinstance(header, dict):
         raise ParseError(f"{path}: checkpoint header is a {type(header).__name__},"
                          " expected a JSON object")

@@ -461,13 +461,15 @@ def _conv2d_sliding_window(x, k, g, stride, padding):
     ((32, 3, 32, 32), (16, 3, 3, 3), True),  # the synthetic_small layers
     ((32, 16, 32, 32), (32, 16, 3, 3), True),
     ((32, 32, 16, 16), (64, 32, 3, 3), True),
-    # a partial last block: the kept columns across a block boundary
+    # a batch that is no multiple of 16, and the cifar10 config's batch:
+    # the column operands' leading dimension grows with the batch
     ((21, 16, 32, 32), (32, 16, 3, 3), True),
+    ((64, 16, 32, 32), (32, 16, 3, 3), True),
     # OpenBLAS sends small products to small-matrix kernels that round a
     # transposed operand differently, so at this size the two column
     # layouts agree to rounding only
     ((3, 5, 11, 10), (7, 5, 3, 2), False),
-], ids=["layer1", "layer2", "layer3", "layer2_b21", "small"])
+], ids=["layer1", "layer2", "layer3", "layer2_b21", "layer2_b64", "small"])
 def test_conv2d_is_bitwise_sliding_window_im2col(dtype, stride, padding, layout,
                                                  xshape, kshape, bitwise):
     rng = np.random.default_rng(5)
@@ -502,8 +504,8 @@ SMALL_LAYERS = {
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("layout", ["c_order", "channels_last"])
 @pytest.mark.parametrize("layer", list(SMALL_LAYERS))
-# a train batch, evaluate's batch, and a partial last block with and
-# without padding
+# a train batch, a 256-sample batch, and a batch that is no multiple of 16
+# with and without padding
 @pytest.mark.parametrize("bsz,padding", [(32, 1), (256, 1), (21, 1), (21, 0)])
 def test_conv2d_forward_only_is_bitwise_sliding_window_im2col(dtype, layout, layer, bsz,
                                                               padding):

@@ -29,7 +29,7 @@ from mixsiam.cli import (
     write_ppm,
 )
 from mixsiam.errors import ConfigError, TrainingAborted
-from mixsiam.train import config_from_dict, config_hash, config_to_dict
+from mixsiam.train import DatasetConfig, config_from_dict, config_hash, config_to_dict
 
 tiny_config = functools.partial(shared_tiny_config, epochs=1)
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -167,6 +167,39 @@ def test_train_non_finite_float_exits_2_before_any_side_effect(tmp_path, capsys,
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("section, flag", [(None, None), ("augment", None),
+                                           ("dataset", None), (None, "-3")],
+                         ids=["seed", "augment_seed", "dataset_seed", "seed_flag"])
+def test_a_negative_seed_exits_2_with_one_line_before_creating_out(tmp_path, capsys,
+                                                                   section, flag):
+    payload = config_to_dict(shared_tiny_config())
+    if flag is None:
+        (payload[section] if section else payload)["seed"] = -1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    out = tmp_path / "o"
+    argv = ["train", "--config", str(bad), "--out", str(out)]
+    assert main(argv + (["--seed", flag] if flag else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "seed must be >= 0" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, payload", [("ablate", lambda: grid_payload()),
+                                              ("sweep-lambda", lambda: sweep_payload())],
+                         ids=["ablate", "sweep-lambda"])
+def test_a_negative_seed_flag_on_a_grid_exits_2_before_creating_out(tmp_path, capsys,
+                                                                   command, payload):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(payload()))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(spec), "--out", str(out), "--seed", "-3"]) == 2
+    err = capsys.readouterr().err
+    assert "seed must be >= 0" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_train_requires_config_flag(tmp_path, capsys):
     assert main(["train", "--out", str(tmp_path / "o")]) == 2
     assert "--config" in capsys.readouterr().err
@@ -229,6 +262,32 @@ def test_eval_missing_checkpoint_exits_2(tmp_path, capsys):
     assert main(["eval", "--resume", str(tmp_path / "nope.bin"),
                  "--out", str(tmp_path / "o")]) == 2
     assert "not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_a_resume_path_that_is_a_directory_exits_2_before_creating_out(tmp_path, capsys,
+                                                                       command):
+    folder = tmp_path / "ckpt.bin"
+    folder.mkdir()
+    out = tmp_path / "o"
+    config = ["--config", write_config(tmp_path, tiny_config())] if command == "train" else []
+    assert main([command, *config, "--resume", str(folder), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{folder}: checkpoint cannot be read" in err
+    assert not out.exists()
+
+
+def test_a_cifar_batch_that_is_a_directory_exits_2_before_creating_out(tmp_path, capsys):
+    data = tmp_path / "cifar"
+    (data / "data_batch_1.bin").mkdir(parents=True)
+    cfg = tiny_config(dataset=DatasetConfig(kind="cifar10", dir=str(data)))
+    out = tmp_path / "o"
+    assert main(["train", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "data_batch_1.bin: cannot be read" in err
+    assert not out.exists()
 
 
 def test_runtime_failure_maps_to_exit_1(tmp_path, monkeypatch, capsys):

@@ -84,6 +84,12 @@ def test_cifar_missing_file(tmp_path):
         load_cifar10(tmp_path, split="train")
 
 
+def test_cifar_batch_that_is_a_directory(tmp_path):
+    (tmp_path / "test_batch.bin").mkdir()
+    with pytest.raises(ParseError, match="test_batch.bin: cannot be read"):
+        load_cifar10(tmp_path, split="test")
+
+
 def test_cifar_unknown_split(tmp_path):
     with pytest.raises(ConfigError, match="split"):
         load_cifar10(tmp_path, split="validation")

@@ -182,11 +182,14 @@ def test_mix_loss_aligned_and_oracle():
     assert float(mix_loss(v, tensor(_basis_rows())).data) == -1.0
 
 
-def test_mix_loss_rejects_live_target():
-    live = tensor(np.ones((2, 3)), requires_grad=True)
-    pm = tensor(np.ones((2, 3)), requires_grad=True)
-    with pytest.raises(AssertionError, match="detached"):
-        mix_loss(pm, live)
+@pytest.mark.parametrize("stop_gradient", [True, False])
+def test_mix_loss_stop_gradient_decides_whether_the_target_gets_a_gradient(stop_gradient):
+    rng = np.random.default_rng(7)
+    pm = tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    zf = tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    mix_loss(pm, zf, stop_gradient).backward()
+    assert pm.grad is not None
+    assert (zf.grad is None) == stop_gradient
 
 
 def test_mix_loss_gradient_only_through_prediction():

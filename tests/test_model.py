@@ -11,6 +11,7 @@ import pytest
 
 from conftest import TINY_ENCODER, TINY_PREDICTOR, param_fd_check
 from mixsiam import autodiff as ad
+from mixsiam import model
 from mixsiam.autodiff import Tensor
 from mixsiam.errors import ConfigError, ShapeError
 from mixsiam.model import ConvStage, EncoderSpec, ModelParams, PredictorSpec, encode, init, predict
@@ -180,7 +181,7 @@ def test_weight_sharing_by_identity():
 
 
 def _frozen(params):
-    """The view `extract_features` encodes with: detached tensors, same buffers."""
+    """Detached views of the parameter tensors, same buffers."""
     return dataclasses.replace(params, tensors={n: t.detach() for n, t in params.named()})
 
 
@@ -194,21 +195,33 @@ def _eval_params(dtype, seed=13):
     return params
 
 
+def _full_batch_eval_graph(params, x):
+    """Eval-mode encode written out as one full-batch graph pass."""
+    h = model._backbone(params, Tensor(x), "eval")
+    for j in range(3):
+        h = ad.matmul(h, params.tensors[f"projector.{j}.w"])
+        h = model._bn(params, f"projector.{j}", h, "eval")
+        if j < 2:
+            h = ad.relu(h)
+    return h
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("bsz", [1, 15, 16, 17, 33])
-def test_forward_only_eval_is_bitwise_the_full_batch_graph_path(dtype, bsz):
-    # blocks of ad.CONV_FORWARD_BLOCK samples around the block edges
+def test_eval_encode_is_forward_only_and_bitwise_the_full_batch_graph(dtype, bsz):
+    # blocks of model.CONV_FORWARD_BLOCK samples around the block edges
     params = _eval_params(dtype)
     x = _images(np.random.default_rng(bsz), bsz, 16).astype(dtype)
-    graph = encode(params, x, "eval")
-    blocked = encode(_frozen(params), x, "eval")
+    graph = _full_batch_eval_graph(params, x)
+    blocked = encode(params, x, "eval")
     assert graph.requires_grad and not blocked.requires_grad
+    assert not blocked._parents and blocked._backward_fn is None
     assert blocked.data.dtype == dtype and blocked.shape == (bsz, 32)
     assert np.array_equal(blocked.data, graph.data)
 
 
 def test_forward_only_eval_does_not_depend_on_the_worker_count(monkeypatch):
-    params = _frozen(_eval_params(np.float32))
+    params = _eval_params(np.float32)
     x = _images(np.random.default_rng(0), 40, 16).astype(np.float32)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     assert ad.thread_pool()._max_workers == cpus
@@ -245,7 +258,7 @@ def test_forward_only_eval_raises_a_workers_shape_error(monkeypatch):
             raised_in.append(threading.current_thread())
             raise
     monkeypatch.setattr(ad, "conv2d", recording_conv2d)
-    params = _frozen(_eval_params(np.float64))
+    params = _eval_params(np.float64)
     with pytest.raises(ShapeError, match="conv2d"):
         encode(params, np.zeros((20, 4, 8, 8)), "eval")
     assert raised_in and threading.main_thread() not in raised_in
