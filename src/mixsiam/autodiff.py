@@ -2,9 +2,8 @@
 
 Every numeric operation used by the model, losses and probes lives here,
 and so does the package's one thread pool (`thread_pool`). The graph is
-rebuilt on every forward pass; `backward` sweeps it on the calling thread
-and the pool's workers, runs each node's rule once, as soon as every
-consumer of the node has delivered its gradient, and frees what the rule
+rebuilt on every forward pass; `backward` walks it once in reverse
+topological order, runs each node's rule once and frees what the rule
 kept. Every kernel is a plain numpy call, and every gradient is summed in
 one fixed order, so results are bitwise reproducible run to run, on any
 number of threads.
@@ -21,7 +20,6 @@ accumulates several onto a copy.
 from __future__ import annotations
 
 import os
-import threading
 
 import numpy as np
 
@@ -87,14 +85,8 @@ class Tensor:
     def relu(self):
         return relu(self)
 
-    def sum(self):
-        return tensor_sum(self)
-
     def detach(self):
         return detach(self)
-
-    def backward(self):
-        backward(self)
 
 
 def _result(data, parents, backward_fn, op):
@@ -139,30 +131,13 @@ def Graph(root):
     return nodes
 
 
-def _sum_in_order(parts, dtype, owned):
-    """The non-None gradients of `parts` summed left to right: the first
-    copied and cast to `dtype`, the others added into that copy. One
-    gradient is returned as it is (cast if needed) unless `owned` asks for
-    a buffer that nothing else holds; no gradient gives None."""
-    if len(parts) != 1:
-        parts = [pg for pg in parts if pg is not None]
-    if not parts or parts[0] is None:
-        return None
-    if len(parts) == 1 and not owned:
-        return np.asarray(parts[0], dtype=dtype)
-    total = np.array(parts[0], dtype=dtype, copy=True)
-    for pg in parts[1:]:
-        total += pg
-    return total
-
-
 _POOL = None  # the package's one thread pool, made on first use
 
 
 def thread_pool():
-    """The package's one thread pool, shared by the backward sweep, the
-    training branches and the forward-only backbone: one worker per CPU
-    this process may run on (`taskset` and cpusets restrict it).
+    """The package's one thread pool, shared by the training branches and
+    their backward sweeps and the forward-only backbone: one worker per
+    CPU this process may run on (`taskset` and cpusets restrict it).
     `concurrent.futures` loads here, not at import."""
     global _POOL
     if _POOL is None:
@@ -175,169 +150,74 @@ def thread_pool():
     return _POOL
 
 
-class _DataflowSweep:
-    """One backward sweep over `order`, whose root is not a leaf, on the
-    calling thread and up to max_workers - 1 workers of the thread pool:
-    each node's rule runs once all of its gradients have arrived."""
+def on_pool(fn, items):
+    """[fn(item) for item in items], the calls run concurrently on the
+    thread pool. An exception of any call is raised here, with its own
+    type, once every call has ended."""
+    from concurrent.futures import wait
+    futures = [thread_pool().submit(fn, item) for item in items]
+    wait(futures)
+    return [f.result() for f in futures]
 
-    def __init__(self, order):
-        index = {id(node): i for i, node in enumerate(order)}
-        waiting = [0] * len(order)  # gradients still to arrive, per node
-        edges = []  # per node: None for a leaf, else per parent (index, slot) or None
-        for node in order:
-            if node._backward_fn is None:
-                if node._op != "leaf":
-                    raise RuntimeError(f"backward: the graph through a {node._op} node"
-                                       " was already swept")
-                edges.append(None)
+
+def leaf_grads(root, g):
+    """The (leaf, gradient) pairs of one reverse sweep over `Graph(root)`
+    from upstream gradient `g`, leaves in the order the sweep reaches them.
+
+    Every consumer of a node comes before it in the reversed graph, so a
+    node's gradient is complete when the sweep reaches it. A node's only
+    gradient goes to its rule as it is; several are summed in arrival
+    order onto a copy of the first. Each leaf's gradient is an array of its
+    own. A node's rule and parent links are dropped once the rule has run,
+    so the sweep frees what the rule kept; sweeping a graph twice raises
+    RuntimeError.
+    """
+    order = Graph(root)
+    grads = {id(root): g}
+    summed = set()  # nodes whose gradient is a copy this sweep made
+    out = []
+    while order:
+        node = order.pop()  # the list lets go of each node as it is swept
+        key = id(node)
+        g = grads.pop(key, None)
+        rule, parents = node._backward_fn, node._parents
+        if rule is None:
+            if node._op != "leaf":
+                raise RuntimeError(f"backward: the graph through a {node._op} node"
+                                   " was already swept")
+            if g is not None:
+                out.append((node, g if key in summed else np.array(g, dtype=node.data.dtype)))
+            continue
+        pgs = rule(g) if g is not None else ()
+        node._backward_fn, node._parents = None, ()
+        for parent, pg in zip(parents, pgs):
+            if pg is None or not parent.requires_grad:
                 continue
-            out = []
-            for parent in node._parents:
-                if parent.requires_grad:
-                    j = index[id(parent)]
-                    out.append((j, waiting[j]))
-                    waiting[j] += 1
-                else:
-                    out.append(None)
-            edges.append(out)
-        self.order, self.edges, self.waiting = order, edges, waiting
-        self.slots = [[None] * n for n in waiting]
-        self.pool = thread_pool()
-        self.helpers_max = self.pool._max_workers - 1
-        self.cond = threading.Condition(threading.Lock())
-        self.left = len(order)  # nodes not yet run or summed
-        self.queue = []  # ready (node index, gradient) pairs no thread has taken
-        self.helpers = 0
-        self.error = None
-        self.leaf_grads = []
-
-    def run(self, i, g):
-        """Run node i, then every node this thread readies or dequeues."""
-        order, edges, slots, waiting, cond = (
-            self.order, self.edges, self.slots, self.waiting, self.cond)
-        while self.error is None:
-            node, order[i] = order[i], None
-            out = edges[i]
-            pgs = node._backward_fn(g) if g is not None else (None,) * len(out)
-            node._backward_fn, node._parents = None, ()
-            ready = []
-            with cond:
-                for edge, pg in zip(out, pgs):
-                    if edge is not None:
-                        j, k = edge
-                        slots[j][k] = pg
-                        waiting[j] -= 1
-                        if not waiting[j]:
-                            ready.append(j)
-                self.left -= 1
-            nxt = None
-            for j in sorted(ready):
-                parts, slots[j], parent = slots[j], None, order[j]
-                leaf = edges[j] is None
-                gj = _sum_in_order(parts, parent.data.dtype, owned=leaf)
-                if leaf:  # summed here
-                    order[j] = None
-                    if gj is not None:
-                        self.leaf_grads.append((parent, gj))
-                    with cond:
-                        self.left -= 1
-                elif nxt is None:
-                    nxt = (j, gj)
-                else:
-                    with cond:
-                        self.queue.append((j, gj))
-                        cond.notify()
-                        if self.helpers < self.helpers_max:
-                            try:
-                                self.pool.submit(self.help)
-                            except RuntimeError:  # shut down: the queue drains here
-                                pass
-                            else:
-                                self.helpers += 1
-            if nxt is None:
-                with cond:
-                    if not self.queue:
-                        if not self.left:
-                            cond.notify_all()
-                        return
-                    nxt = self.queue.pop()
-            i, g = nxt
-
-    def fail(self, exc):
-        with self.cond:
-            if self.error is None:
-                self.error = exc
-            self.cond.notify_all()
-
-    def help(self):
-        """A pool worker's share: drain the queue, then leave."""
-        try:
-            with self.cond:
-                if not self.queue:
-                    return
-                nxt = self.queue.pop()
-            self.run(*nxt)
-        except BaseException as exc:  # raised on the calling thread
-            self.fail(exc)
-        finally:
-            with self.cond:
-                self.helpers -= 1
-                self.cond.notify_all()
-
-    def sweep(self):
-        """Run the sweep from the root. Returns the (leaf, gradient) pairs,
-        or raises the first exception of any thread once no helper runs."""
-        cond = self.cond
-        try:
-            nxt = (0, np.ones_like(self.order[0].data))
-            while nxt is not None:
-                self.run(*nxt)
-                with cond:
-                    while not (self.queue or not self.left or self.error is not None):
-                        cond.wait()
-                    nxt = self.queue.pop() if self.queue and self.error is None else None
-        except BaseException as exc:
-            self.fail(exc)
-        with cond:
-            while self.helpers:
-                cond.wait()
-        if self.error is not None:
-            raise self.error
-        return self.leaf_grads
+            pkey = id(parent)
+            if pkey not in grads:
+                grads[pkey] = np.asarray(pg, dtype=parent.data.dtype)
+                continue
+            if pkey not in summed:
+                grads[pkey] = np.array(grads[pkey], copy=True)
+                summed.add(pkey)
+            grads[pkey] += pg
+    return out
 
 
 def backward(loss):
-    """Populate `grad` on every requires-grad leaf reachable from `loss`.
+    """Populate `grad` on every requires-grad leaf reachable from `loss`,
+    by one `leaf_grads` sweep on the calling thread.
 
-    One dataflow sweep runs on this thread and up to max_workers - 1
-    workers of `thread_pool()`. A node's rule runs once every consumer of
-    the node has delivered its gradient; a thread that finishes a node
-    goes on with one newly ready node, sums ready leaves inline and queues
-    any further ready node for a helper. A graph in which no node readies
-    two others never queues, and on a one-worker pool every node runs on
-    this thread. Several gradients of one node are summed in the order in
-    which a serial sweep over reversed `Graph(loss)` delivers them
-    (consumers by position, then parent slot), so the bits depend on
-    neither the schedule nor the worker count.
-
-    A node's rule and parent links are dropped once the rule has run, so
-    the sweep frees what the rule kept; sweeping a graph twice raises
-    RuntimeError. Only leaves (tensors without a backward rule) receive
-    `.grad`, each a writable array of its own, assigned once the whole
-    sweep has succeeded; repeated calls without clearing grads accumulate
-    onto it. A `loss` that is itself a leaf receives ones. An exception in
-    a rule, on any thread, stops the sweep and is raised here once no
-    helper is still running, and no `.grad` changes.
+    Only leaves (tensors without a backward rule) receive `.grad`,
+    assigned once the whole sweep has succeeded: a rule that raises leaves
+    every `.grad` as it was. Repeated calls without clearing grads
+    accumulate onto it. A `loss` that is itself a leaf receives ones.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.data.shape}")
     if not loss.requires_grad:
         return
-    if loss._op == "leaf":  # no rule to run: the gradient of a leaf by itself
-        leaf_grads = [(loss, np.ones_like(loss.data))]
-    else:
-        leaf_grads = _DataflowSweep(Graph(loss)[::-1]).sweep()
-    for leaf, g in leaf_grads:
+    for leaf, g in leaf_grads(loss, np.ones_like(loss.data)):
         leaf.grad = g if leaf.grad is None else leaf.grad + g
 
 

@@ -187,8 +187,8 @@ def encode(params: ModelParams, x, mode: str, deferred=None) -> Tensor:
         params = replace(params, tensors={n: t.detach() for n, t in params.named()})
         blocks = [Tensor(x.data[start:start + CONV_FORWARD_BLOCK])
                   for start in range(0, x.data.shape[0], CONV_FORWARD_BLOCK)]
-        pooled = ad.thread_pool().map(lambda xb: _backbone(params, xb, mode).data, blocks)
-        h = Tensor(np.concatenate(list(pooled)))
+        pooled = ad.on_pool(lambda xb: _backbone(params, xb, mode).data, blocks)
+        h = Tensor(np.concatenate(pooled))
     else:
         h = _backbone(params, x, mode, deferred)
     for j in range(3):
@@ -206,15 +206,11 @@ def encode_branches(params: ModelParams, views) -> list:
     of one encode call per view in turn. An exception in any branch is
     raised, with its own type, once every branch has ended, and then no
     buffer has moved."""
-    from concurrent.futures import wait
-
     def branch(x):
         deferred = []
         return encode(params, x, "train", deferred), deferred
 
-    futures = [ad.thread_pool().submit(branch, x) for x in views]
-    wait(futures)
-    outs = [f.result() for f in futures]
+    outs = ad.on_pool(branch, views)
     for _, deferred in outs:
         for update in deferred:
             ad.update_running_stats(*update)

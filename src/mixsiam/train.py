@@ -303,26 +303,42 @@ def train_step(state: TrainState, batch, cfg: TrainConfig, total_steps: int) -> 
     decay is the classic gradient addition wd*param, skipped for
     batch-norm gamma/beta and biases.
 
-    The three encoder passes and the backward sweep run on the package's
-    thread pool; the predictor and the losses run here. Batch-norm
-    statistics advance in branch order and gradients sum in one fixed
-    order, so the step's bytes do not depend on the CPU count.
+    The three encoder passes run on the package's thread pool. The
+    predictor and the losses run here, on leaf proxies of the three
+    encoder outputs, and their (head) graph is swept here; then each
+    branch is swept from its output, with its proxy's gradient, on the
+    pool. Each encoder parameter sums its branch parts in the order in
+    which the head sweep reached the proxies, which is the order of one
+    sweep over the whole step graph. Batch-norm statistics advance in
+    branch order, so the step's bytes do not depend on the CPU count. No
+    `.grad` is assigned until every sweep has succeeded.
     """
     params = state.params
     views = make_triplet(batch, cfg.augment, cfg.lambda_mix, state.epoch, cfg.dtype)
 
-    z1, z2, zm = encode_branches(params, (views.x1, views.x2, views.xm))
-    p1 = predict(params, z1, "train")
-    p2 = predict(params, z2, "train")
-    pm = predict(params, zm, "train")
+    zs = encode_branches(params, (views.x1, views.x2, views.xm))
+    h1, h2, hm = proxies = [ad.Tensor(z.data, requires_grad=True) for z in zs]
+    p1 = predict(params, h1, "train")
+    p2 = predict(params, h2, "train")
+    pm = predict(params, hm, "train")
 
-    l_siam = siam_loss(p1, p2, z1, z2, stop_gradient=cfg.stop_gradient)
-    z_f = aggregate(z1, z2, cfg.aggregation)
+    l_siam = siam_loss(p1, p2, h1, h2, stop_gradient=cfg.stop_gradient)
+    z_f = aggregate(h1, h2, cfg.aggregation)
     l_mix = mix_loss(pm, z_f, cfg.stop_gradient)
     total, breakdown = total_loss(l_siam, l_mix, cfg.lam)
 
     _check_finite("loss", total.data, state.step)
-    ad.backward(total)
+    grads = dict(ad.leaf_grads(total, np.ones_like(total.data)))
+    branch_of = dict(zip(proxies, zs))
+    reached = [(branch_of[h], grads.pop(h)) for h in list(grads) if h in branch_of]
+    for parts in ad.on_pool(lambda zg: ad.leaf_grads(*zg), reached):
+        for leaf, g in parts:
+            if leaf in grads:
+                grads[leaf] += g
+            else:
+                grads[leaf] = g
+    for leaf, g in grads.items():
+        leaf.grad = g
 
     lr = cosine_lr(state.step, total_steps, cfg.lr_base)
     sq_norm = apply_sgd(params.tensors, state.velocity, lr, cfg.momentum,
@@ -332,7 +348,7 @@ def train_step(state: TrainState, batch, cfg: TrainConfig, total_steps: int) -> 
         step=state.step, epoch=state.epoch, lr=lr,
         l_siam=breakdown.l_siam, l_mix=breakdown.l_mix, total=breakdown.total,
         grad_norm=float(np.sqrt(sq_norm)),
-        embedding_std=embedding_std(z1.data),
+        embedding_std=embedding_std(zs[0].data),
     )
     state.step += 1
     return metrics
@@ -525,8 +541,8 @@ def _keep_freed_heap():
     synthetic_small step. Which regime a step runs in otherwise depends on
     the largest block the process happened to free before it. The kept
     heap is one arena for every thread: a thread arena of its own would
-    keep each pool worker's freed blocks (of the training branches, the
-    backward sweep and evaluation) beside the main thread's.
+    keep each pool worker's freed blocks (of the training branches, their
+    backward sweeps and evaluation) beside the main thread's.
     Sets three process-wide allocator parameters; a no-op where libc has
     no mallopt.
     """

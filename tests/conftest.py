@@ -5,8 +5,9 @@ backward pass in the package is judged against: float64 throughout,
 step 1e-5, relative error below 1e-4 (absolute 1e-7 when the reference
 gradient is ~0).
 
-`serial_backward` is the single-threaded reverse sweep that
-`autodiff.backward` replaced, kept as the bitwise oracle of its gradients;
+`serial_backward` is an independently written reverse sweep over one
+whole graph: the bitwise oracle of `autodiff.backward` and of a train
+step, whose branches are swept apart on the thread pool;
 `finishes_within` bounds how long a test waits on threaded code.
 
 `tiny_config` is the small float64 training config shared by the trainer,
@@ -20,7 +21,7 @@ import threading
 import numpy as np
 
 from mixsiam.augment import AugmentConfig
-from mixsiam.autodiff import Graph, Tensor
+from mixsiam.autodiff import Graph, Tensor, backward
 from mixsiam.model import ConvStage, EncoderSpec, PredictorSpec
 from mixsiam.train import DatasetConfig, TrainConfig
 
@@ -117,7 +118,7 @@ def param_fd_check(params, forward, step=FD_STEP):
     differences for every model parameter, perturbing buffers in place.
     Returns the worst gap (pass < 1)."""
     loss = forward()
-    loss.backward()
+    backward(loss)
     worst = 0.0
     for name, t in params.tensors.items():
         assert t.grad is not None, f"{name} received no gradient"
@@ -140,7 +141,7 @@ def check_grads(f, arrays, step=FD_STEP):
     differences for every input array. Returns the worst gap (pass < 1)."""
     tensors = [tensor(np.asarray(a, dtype=np.float64), requires_grad=True) for a in arrays]
     out = f(*tensors)
-    out.backward()
+    backward(out)
     worst = 0.0
     for i, t in enumerate(tensors):
         def scalar_f(x, i=i):

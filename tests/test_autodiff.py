@@ -4,14 +4,10 @@ Every op with a backward rule is validated against the central-difference
 oracle in conftest; graph behaviors (accumulation, pruning, detach, tie
 rules) are checked analytically since finite differences cannot see them.
 The backward sweep is checked bitwise against conftest's serial sweep on
-random graphs, on pools of several sizes.
+random graphs.
 """
 
-import contextlib
-import sys
 import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -19,8 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from conftest import (check_grads, finishes_within, grad_gap, numeric_grad, serial_backward,
-                      tensor)
+from conftest import check_grads, grad_gap, numeric_grad, serial_backward, tensor
 from mixsiam import autodiff as ad
 from mixsiam.autodiff import Tensor
 from mixsiam.errors import ShapeError
@@ -40,20 +35,20 @@ def test_add_sub_mul_grads(seed):
     rng = np.random.default_rng(seed)
     a = _rand(rng, 3, 4)
     b = _rand(rng, 3, 4)
-    assert check_grads(lambda x, y: (x + y).sum(), [a, b]) < 1
-    assert check_grads(lambda x, y: (x - y).sum(), [a, b]) < 1
-    assert check_grads(lambda x, y: (x * y).sum(), [a, b]) < 1
+    assert check_grads(lambda x, y: ad.tensor_sum(x + y), [a, b]) < 1
+    assert check_grads(lambda x, y: ad.tensor_sum(x - y), [a, b]) < 1
+    assert check_grads(lambda x, y: ad.tensor_sum(x * y), [a, b]) < 1
 
 
 @pytest.mark.parametrize("seed", RNG_SEEDS)
 def test_scalar_variants_grads(seed):
     rng = np.random.default_rng(seed)
     a = _rand(rng, 2, 5)
-    assert check_grads(lambda x: (x + 0.7).sum(), [a]) < 1
-    assert check_grads(lambda x: (x - 1.3).sum(), [a]) < 1
-    assert check_grads(lambda x: (x * -2.5).sum(), [a]) < 1
-    assert check_grads(lambda x: (2.5 * x).sum(), [a]) < 1
-    assert check_grads(lambda x: (-x).sum(), [a]) < 1
+    assert check_grads(lambda x: ad.tensor_sum(x + 0.7), [a]) < 1
+    assert check_grads(lambda x: ad.tensor_sum(x - 1.3), [a]) < 1
+    assert check_grads(lambda x: ad.tensor_sum(x * -2.5), [a]) < 1
+    assert check_grads(lambda x: ad.tensor_sum(2.5 * x), [a]) < 1
+    assert check_grads(lambda x: ad.tensor_sum(-x), [a]) < 1
 
 
 @pytest.mark.parametrize("seed", RNG_SEEDS)
@@ -64,8 +59,8 @@ def test_relu_and_maximum_grads(seed):
     a = np.where(np.abs(a) < 0.05, 0.1, a)
     b = _rand(rng, 4, 3)
     b = np.where(np.abs(a - b) < 0.05, b + 0.1, b)
-    assert check_grads(lambda x: x.relu().sum(), [a]) < 1
-    assert check_grads(lambda x, y: ad.maximum(x, y).sum(), [a, b]) < 1
+    assert check_grads(lambda x: ad.tensor_sum(x.relu()), [a]) < 1
+    assert check_grads(lambda x, y: ad.tensor_sum(ad.maximum(x, y)), [a, b]) < 1
 
 
 def _channels_last(a):
@@ -126,7 +121,7 @@ def test_maximum_tie_sends_grad_to_first_argument():
     a = tensor(np.array([[1.0, 2.0, -3.0]]), requires_grad=True)
     b = tensor(np.array([[1.0, 2.0, -3.0]]), requires_grad=True)
     out = ad.maximum(a, b)
-    (out * 3.0).sum().backward()
+    ad.backward(ad.tensor_sum(out * 3.0))
     assert np.array_equal(a.grad, np.full((1, 3), 3.0))
     assert np.array_equal(b.grad, np.zeros((1, 3)))
 
@@ -141,7 +136,7 @@ def test_maximum_grads_partition_upstream(seed):
     b = rng.integers(-2, 3, size=(3, 5)).astype(np.float64)
     ta, tb = tensor(a, requires_grad=True), tensor(b, requires_grad=True)
     upstream = rng.uniform(-1, 1, size=(3, 5))
-    (ad.maximum(ta, tb) * tensor(upstream)).sum().backward()
+    ad.backward(ad.tensor_sum(ad.maximum(ta, tb) * tensor(upstream)))
     assert np.allclose(ta.grad + tb.grad, upstream, atol=0, rtol=0)
     ties = a == b
     assert np.array_equal(tb.grad[ties], np.zeros(int(ties.sum())))
@@ -156,7 +151,7 @@ def test_matmul_grads(seed):
     a = _rand(rng, 3, 4)
     b = _rand(rng, 4, 2)
     w = tensor(_rand(rng, 3, 2))
-    assert check_grads(lambda x, y: ((x @ y) * w).sum(), [a, b]) < 1
+    assert check_grads(lambda x, y: ad.tensor_sum((x @ y) * w), [a, b]) < 1
 
 
 def test_matmul_shape_error_names_both_shapes():
@@ -172,7 +167,7 @@ def test_add_bias_grads(seed):
     x = _rand(rng, 4, 6)
     b = _rand(rng, 6)
     w = tensor(_rand(rng, 4, 6))
-    assert check_grads(lambda u, v: (ad.add_bias(u, v) * w).sum(), [x, b]) < 1
+    assert check_grads(lambda u, v: ad.tensor_sum(ad.add_bias(u, v) * w), [x, b]) < 1
 
 
 @pytest.mark.parametrize("seed", RNG_SEEDS)
@@ -181,7 +176,7 @@ def test_l2_normalize_grads(seed):
     x = _rand(rng, 5, 7, lo=-2.0, hi=2.0)
     x[np.abs(x).sum(axis=1) < 0.5] += 1.0  # keep rows clearly non-degenerate
     w = tensor(_rand(rng, 5, 7))
-    assert check_grads(lambda u: (ad.l2_normalize(u) * w).sum(), [x]) < 1
+    assert check_grads(lambda u: ad.tensor_sum(ad.l2_normalize(u) * w), [x]) < 1
 
 
 def test_l2_normalize_rows_become_unit():
@@ -201,7 +196,7 @@ def test_l2_normalize_epsilon_branch():
     x[1] = [3.0, 0.0, 4.0]
     t = tensor(x, requires_grad=True)
     w = np.array([[1.0, -2.0, 0.5], [0.0, 1.0, 0.0]])
-    (ad.l2_normalize(t) * tensor(w)).sum().backward()
+    ad.backward(ad.tensor_sum(ad.l2_normalize(t) * tensor(w)))
     assert np.array_equal(t.grad[0], np.zeros(3))
     # the healthy row is untouched by the masking
     def f(x):
@@ -219,7 +214,7 @@ def test_l2_normalize_dead_row_cannot_explode_update():
     x[2] = [-2.0, 0.0, 1.0, 1.0]
     t = tensor(x, requires_grad=True)
     target = tensor(np.ones((3, 4)))
-    (ad.l2_normalize(t) * target).sum().backward()
+    ad.backward(ad.tensor_sum(ad.l2_normalize(t) * target))
     assert np.all(np.isfinite(t.grad))
     assert np.array_equal(t.grad[1], np.zeros(4))
     assert float(np.abs(t.grad).max()) < 10.0
@@ -231,10 +226,10 @@ def test_l2_normalize_dead_row_cannot_explode_update():
 @pytest.mark.parametrize("seed", RNG_SEEDS)
 def test_sum_and_gap_grads(seed):
     rng = np.random.default_rng(seed)
-    assert check_grads(lambda x: x.sum(), [_rand(rng, 3, 4)]) < 1
+    assert check_grads(lambda x: ad.tensor_sum(x), [_rand(rng, 3, 4)]) < 1
     img = _rand(rng, 2, 3, 4, 4)
     w = tensor(_rand(rng, 2, 3))
-    assert check_grads(lambda x: (ad.global_avg_pool(x) * w).sum(), [img]) < 1
+    assert check_grads(lambda x: ad.tensor_sum(ad.global_avg_pool(x) * w), [img]) < 1
 
 
 def test_global_avg_pool_forward():
@@ -258,7 +253,7 @@ def test_batchnorm_train_grads(seed, shape):
 
     def f(xt, gt, bt):
         rm, rv = np.zeros(nfeat), np.ones(nfeat)
-        return (ad.batchnorm(xt, gt, bt, rm, rv, "train") * w).sum()
+        return ad.tensor_sum(ad.batchnorm(xt, gt, bt, rm, rv, "train") * w)
     assert check_grads(f, [x, gamma, beta]) < 1
 
 
@@ -273,7 +268,7 @@ def test_batchnorm_eval_grads(seed):
     w = tensor(_rand(rng, 4, 5))
 
     def f(xt, gt, bt):
-        return (ad.batchnorm(xt, gt, bt, rm.copy(), rv.copy(), "eval") * w).sum()
+        return ad.tensor_sum(ad.batchnorm(xt, gt, bt, rm.copy(), rv.copy(), "eval") * w)
     assert check_grads(f, [x, gamma, beta]) < 1
 
 
@@ -408,7 +403,7 @@ def _conv2d_grad_gap(rng, xshape, kshape, stride, padding):
     w = tensor(_rand(rng, *out.shape))
 
     def f(xt, kt):
-        return (ad.conv2d(xt, kt, stride=stride, padding=padding) * w).sum()
+        return ad.tensor_sum(ad.conv2d(xt, kt, stride=stride, padding=padding) * w)
     return check_grads(f, [x, k])
 
 
@@ -571,34 +566,34 @@ def test_detach_shares_value_and_blocks_grads():
     d = x.detach()
     assert d.data is x.data
     assert not d.requires_grad
-    (d * 5.0).sum().backward()
+    ad.backward(ad.tensor_sum(d * 5.0))
     assert x.grad is None
 
 
 def test_detach_splits_composite_graph():
     x = tensor(np.array([[3.0, 4.0]]), requires_grad=True)
     y = ad.l2_normalize(x)
-    loss = (y * y.detach()).sum()
-    loss.backward()
+    loss = ad.tensor_sum(y * y.detach())
+    ad.backward(loss)
     # only the live branch contributes: d/dx sum(y * const) with const = y
     live = tensor(np.array([[3.0, 4.0]]), requires_grad=True)
     const = ad.l2_normalize(tensor(np.array([[3.0, 4.0]])))
-    (ad.l2_normalize(live) * const).sum().backward()
+    ad.backward(ad.tensor_sum(ad.l2_normalize(live) * const))
     assert np.allclose(x.grad, live.grad, atol=0)
 
 
 def test_grad_accumulates_across_reuse():
     x = tensor(np.array([2.0, 3.0]), requires_grad=True)
-    y = (x * x).sum() + (x * 4.0).sum()
-    y.backward()
+    y = ad.tensor_sum(x * x) + ad.tensor_sum(x * 4.0)
+    ad.backward(y)
     assert np.allclose(x.grad, 2 * x.data + 4.0)
 
 
 def test_repeated_backward_accumulates():
     x = tensor(np.array([1.0, 1.0]), requires_grad=True)
-    (x * 3.0).sum().backward()
+    ad.backward(ad.tensor_sum(x * 3.0))
     first = x.grad.copy()
-    (x * 3.0).sum().backward()
+    ad.backward(ad.tensor_sum(x * 3.0))
     assert np.array_equal(x.grad, 2 * first)
 
 
@@ -607,8 +602,8 @@ def test_backward_writes_grad_on_leaves_only():
     w = tensor(np.array([3.0, -1.0]), requires_grad=True)
     y = x * w
     z = y + x
-    loss = (z * y).sum()
-    loss.backward()
+    loss = ad.tensor_sum(z * y)
+    ad.backward(loss)
     assert y.grad is None and z.grad is None and loss.grad is None
     # d/dx (xw + x) xw = (w + 1) xw + (xw + x) w;  d/dw = (xw + x) x + x xw
     assert np.array_equal(x.grad, (w.data + 1) * x.data * w.data
@@ -620,11 +615,11 @@ def test_backward_writes_grad_on_leaves_only():
 @pytest.mark.parametrize("value", [np.float64(2.5), np.array([2.5], dtype=np.float32)])
 def test_backward_of_a_scalar_leaf_gives_it_ones_and_accumulates(value):
     x = tensor(value, requires_grad=True)
-    x.backward()
+    ad.backward(x)
     assert x.grad.dtype == x.data.dtype and x.grad.shape == x.data.shape
     assert np.array_equal(x.grad, np.ones_like(x.data))
     assert x.grad.flags.writeable and not np.shares_memory(x.grad, x.data)
-    x.backward()
+    ad.backward(x)
     assert np.array_equal(x.grad, np.full_like(x.data, 2.0))
     assert np.array_equal(x.data, value)
 
@@ -632,7 +627,7 @@ def test_backward_of_a_scalar_leaf_gives_it_ones_and_accumulates(value):
 def test_backward_requires_scalar():
     x = tensor(np.zeros((2, 2)), requires_grad=True)
     with pytest.raises(ShapeError, match="scalar"):
-        (x * 2.0).backward()
+        ad.backward(x * 2.0)
 
 
 def test_constant_subgraphs_are_pruned():
@@ -647,7 +642,7 @@ def test_graph_orders_parents_before_children():
     x = tensor(np.ones((2, 2)), requires_grad=True)
     y = x * 2.0
     z = y + x
-    loss = z.sum()
+    loss = ad.tensor_sum(z)
     nodes = ad.Graph(loss)
     pos = {id(n): i for i, n in enumerate(nodes)}
     for node in nodes:
@@ -664,7 +659,7 @@ def test_diamond_graph_gradient(seed):
     rng = np.random.default_rng(seed)
     data = rng.uniform(-2, 2, size=(3,))
     x = tensor(data, requires_grad=True)
-    ((x * 2.0) * (x + 1.0)).sum().backward()
+    ad.backward(ad.tensor_sum((x * 2.0) * (x + 1.0)))
     assert np.allclose(x.grad, 4 * data + 2, rtol=1e-12)
 
 
@@ -697,7 +692,7 @@ def test_constant_argument_leaves_other_grads_unchanged(op, constant):
 
     def grads(trainable):
         tensors = [tensor(a, requires_grad=i in trainable) for i, a in enumerate(arrays)]
-        (fn(*tensors) * w).sum().backward()
+        ad.backward(ad.tensor_sum(fn(*tensors) * w))
         return [t.grad for t in tensors]
 
     everything = range(len(arrays))
@@ -734,7 +729,7 @@ def test_float32_grads_keep_dtype_and_match_float64(op):
 
     def grads(dtype):
         tensors = [tensor(a, requires_grad=True, dtype=dtype) for a in arrays]
-        (fn(*tensors) * tensor(w, dtype=dtype)).sum().backward()
+        ad.backward(ad.tensor_sum(fn(*tensors) * tensor(w, dtype=dtype)))
         return [t.grad for t in tensors]
 
     for g32, g64 in zip(grads(np.float32), grads(np.float64)):
@@ -763,7 +758,7 @@ def test_composite_chain_grad():
         h = ad.batchnorm(h, gt, bt, np.zeros(3), np.ones(3), "train")
         h = h.relu()
         h = ad.global_avg_pool(h)
-        return (ad.l2_normalize(h) * w).sum()
+        return ad.tensor_sum(ad.l2_normalize(h) * w)
     assert check_grads(f, [x, k, gamma, beta]) < 1
 
 
@@ -871,59 +866,31 @@ DAG_SPECS = st.fixed_dictionaries({
 })
 
 
-@contextlib.contextmanager
-def package_pool(pool):
-    """Run the block with `pool` as the package's thread pool."""
-    saved, ad._POOL = ad._POOL, pool
-    try:
-        yield
-    finally:
-        ad._POOL = saved
-
-
-@pytest.fixture(scope="module")
-def sweep_pools():
-    """A one-worker pool, the package's default pool, and a four-worker
-    pool: the sweep on the calling thread alone, on the CPU count, and
-    with more helpers than this host may have CPUs."""
-    with ThreadPoolExecutor(1) as one, ThreadPoolExecutor(4) as four:
-        yield {"one": one, "default": ad.thread_pool(), "four": four}
-
-
 @given(DAG_SPECS, st.sampled_from([np.float32, np.float64]))
 @settings(max_examples=60, deadline=None)
-def test_backward_gives_the_serial_sweeps_bits_on_any_pool(sweep_pools, spec, dtype):
+def test_backward_gives_the_serial_sweeps_bits(spec, dtype):
     want_leaves, want_loss = _dag(spec, dtype)
     serial_backward(want_loss)
-    want = [t.grad for t in want_leaves]
-    interval = sys.getswitchinterval()
-    try:
-        sys.setswitchinterval(1e-6)  # hand the interpreter between threads often
-        for name, pool in sweep_pools.items():
-            leaves, loss = _dag(spec, dtype)
-            with package_pool(pool):
-                ad.backward(loss)
-            got = [t.grad for t in leaves]
-            for g, ref in zip(got, want):
-                assert (g is None) == (ref is None), name
-                if g is not None:
-                    assert g.dtype == ref.dtype and g.tobytes() == ref.tobytes(), name
-                    assert g.flags.writeable, name
-            owned = [g for g in got if g is not None]
-            assert not any(np.shares_memory(a, b) for i, a in enumerate(owned)
-                           for b in owned[i + 1:]), name
-    finally:
-        sys.setswitchinterval(interval)
+    leaves, loss = _dag(spec, dtype)
+    ad.backward(loss)
+    got = [t.grad for t in leaves]
+    for g, ref in zip(got, (t.grad for t in want_leaves)):
+        assert (g is None) == (ref is None)
+        if g is not None:
+            assert g.dtype == ref.dtype and g.tobytes() == ref.tobytes()
+            assert g.flags.writeable
+    owned = [g for g in got if g is not None]
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(owned) for b in owned[i + 1:])
 
 
 def test_backward_drops_each_rule_and_refuses_a_second_sweep():
     x = tensor(np.array([1.0, 2.0]), requires_grad=True)
     y = x * 3.0
-    loss = (y * y).sum()
-    loss.backward()
+    loss = ad.tensor_sum(y * y)
+    ad.backward(loss)
     assert all(node._backward_fn is None and node._parents == () for node in (y, loss))
     with pytest.raises(RuntimeError, match="already swept"):
-        loss.backward()
+        ad.backward(loss)
 
 
 class RuleFault(Exception):
@@ -935,50 +902,28 @@ def _probe_op(x, rule):
     return Tensor(x.data, requires_grad=True, _parents=(x,), _backward_fn=rule, _op="probe")
 
 
-def test_a_rule_that_raises_on_a_worker_reaches_the_caller_and_sets_no_grad():
-    callers, raised_on = [], []
+def test_a_rule_that_raises_leaves_every_grad_as_it_was():
+    raised = []
 
-    def fails_on_a_worker(g):
-        if threading.current_thread() in callers:
-            time.sleep(0.2)  # a helper takes the other branch meanwhile
-            return (g,)
-        raised_on.append(threading.current_thread())
-        raise RuleFault("in a helper")
+    def fails(g):
+        raised.append(g)
+        raise RuleFault("in a rule")
 
-    def graph(rule):
+    for failing_first in (True, False):
         a = tensor(np.ones(3), requires_grad=True)
         b = tensor(np.ones(3), requires_grad=True)
-        return a, b, _probe_op(a, rule).sum() + _probe_op(b, rule).sum()
-
-    def sweep(loss):
-        callers.append(threading.current_thread())
-        ad.backward(loss)
-
-    with ThreadPoolExecutor(2) as pool, package_pool(pool):
-        a, b, loss = graph(fails_on_a_worker)
-        with pytest.raises(RuleFault, match="in a helper"):
-            finishes_within(60, sweep, loss)
-        assert len(raised_on) == 1 and raised_on[0] not in callers
-        assert a.grad is None and b.grad is None
-        # the pool is free and the next sweep completes
-        a, b, loss = graph(lambda g: (g,))
-        finishes_within(60, sweep, loss)
-        assert np.array_equal(a.grad, np.ones(3)) and np.array_equal(b.grad, np.ones(3))
+        a.grad, b.grad = np.full(3, 5.0), None
+        kept = a.grad
+        terms = [ad.tensor_sum(_probe_op(b, fails)), ad.tensor_sum(a * 2.0)]
+        if not failing_first:
+            terms.reverse()
+        with pytest.raises(RuleFault, match="in a rule"):
+            ad.backward(terms[0] + terms[1])
+        assert a.grad is kept and np.array_equal(kept, np.full(3, 5.0)) and b.grad is None
+    assert len(raised) == 2
 
 
-class CountingPool(ThreadPoolExecutor):
-    """A thread pool that counts the tasks submitted to it."""
-
-    def __init__(self, workers):
-        super().__init__(workers)
-        self.submits = 0
-
-    def submit(self, *args, **kwargs):
-        self.submits += 1
-        return super().submit(*args, **kwargs)
-
-
-def test_a_one_worker_pool_runs_every_rule_on_the_calling_thread():
+def test_backward_runs_every_rule_on_the_calling_thread(monkeypatch):
     ran_on = []
 
     def traced(rule):
@@ -987,23 +932,17 @@ def test_a_one_worker_pool_runs_every_rule_on_the_calling_thread():
             return rule(g)
         return run
 
-    def branching_graph():
-        # the root's rule readies both sums at once
-        a = tensor(np.ones(3), requires_grad=True)
-        b = tensor(np.ones(3), requires_grad=True)
-        loss = (a * 2.0).sum() + (b * 3.0).sum()
-        nodes = [node for node in ad.Graph(loss) if node._backward_fn is not None]
-        for node in nodes:
-            node._backward_fn = traced(node._backward_fn)
-        return a, b, loss, len(nodes)
+    class NoPool:
+        def submit(self, *args, **kwargs):
+            raise AssertionError("backward submitted to the pool")
 
-    with CountingPool(2) as two, package_pool(two):
-        ad.backward(branching_graph()[2])
-    assert two.submits == 1  # with a worker to spare, the sweep asks it to help
-    ran_on.clear()
-    with CountingPool(1) as one, package_pool(one):
-        a, b, loss, rules = branching_graph()
-        ad.backward(loss)
-    assert one.submits == 0
-    assert ran_on == [threading.current_thread()] * rules and rules == 5
+    monkeypatch.setattr(ad, "_POOL", NoPool())
+    a = tensor(np.ones(3), requires_grad=True)
+    b = tensor(np.ones(3), requires_grad=True)
+    loss = ad.tensor_sum(a * 2.0) + ad.tensor_sum(b * 3.0)  # the root readies both sums
+    nodes = [node for node in ad.Graph(loss) if node._backward_fn is not None]
+    for node in nodes:
+        node._backward_fn = traced(node._backward_fn)
+    ad.backward(loss)
+    assert ran_on == [threading.current_thread()] * len(nodes) and len(nodes) == 5
     assert np.array_equal(a.grad, np.full(3, 2.0)) and np.array_equal(b.grad, np.full(3, 3.0))

@@ -105,7 +105,7 @@ def test_siam_loss_stop_gradient_is_exact():
     p2 = tensor(rng.normal(size=(4, 6)), requires_grad=True)
     z1 = tensor(rng.normal(size=(4, 6)), requires_grad=True)
     z2 = tensor(rng.normal(size=(4, 6)), requires_grad=True)
-    siam_loss(p1, p2, z1, z2).backward()
+    ad.backward(siam_loss(p1, p2, z1, z2))
     assert z1.grad is None and z2.grad is None  # no gradient flow at all
     assert p1.grad is not None and p2.grad is not None
 
@@ -116,7 +116,7 @@ def test_siam_loss_ablation_restores_target_grads():
     p2 = tensor(rng.normal(size=(4, 6)), requires_grad=True)
     z1 = tensor(rng.normal(size=(4, 6)), requires_grad=True)
     z2 = tensor(rng.normal(size=(4, 6)), requires_grad=True)
-    siam_loss(p1, p2, z1, z2, stop_gradient=False).backward()
+    ad.backward(siam_loss(p1, p2, z1, z2, stop_gradient=False))
     assert z1.grad is not None and np.any(z1.grad != 0)
     assert z2.grad is not None and np.any(z2.grad != 0)
 
@@ -187,7 +187,7 @@ def test_mix_loss_stop_gradient_decides_whether_the_target_gets_a_gradient(stop_
     rng = np.random.default_rng(7)
     pm = tensor(rng.normal(size=(3, 4)), requires_grad=True)
     zf = tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    mix_loss(pm, zf, stop_gradient).backward()
+    ad.backward(mix_loss(pm, zf, stop_gradient))
     assert pm.grad is not None
     assert (zf.grad is None) == stop_gradient
 
@@ -198,7 +198,7 @@ def test_mix_loss_gradient_only_through_prediction():
     z2 = tensor(rng.normal(size=(3, 4)), requires_grad=True)
     pm = tensor(rng.normal(size=(3, 4)), requires_grad=True)
     zf = aggregate(z1, z2, MAX).detach()
-    mix_loss(pm, zf).backward()
+    ad.backward(mix_loss(pm, zf))
     assert pm.grad is not None
     assert z1.grad is None and z2.grad is None
 
@@ -294,7 +294,7 @@ def test_composite_objective_grads_match_fd(kind):
     ls = siam_loss(p1, p2, z1, z2)
     zf = aggregate(z1, z2, strat).detach()
     total, _ = total_loss(ls, mix_loss(pm, zf), 0.5)
-    total.backward()
+    ad.backward(total)
 
     # freeze targets at u0 for the numeric probe
     c1 = tensor(u0 * a1)

@@ -16,6 +16,7 @@ import struct
 import subprocess
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
@@ -27,15 +28,15 @@ from hypothesis import strategies as st
 
 import augment_oracle as oracle
 from augment_oracle import VIEW1_SLOT, VIEW2_SLOT, augment_view, view_rng
-from conftest import TINY_ENCODER, TINY_PREDICTOR, finishes_within, tiny_config
+from conftest import TINY_ENCODER, TINY_PREDICTOR, finishes_within, serial_backward, tiny_config
 from mixsiam import autodiff as ad
 from mixsiam import model as model_module
 from mixsiam import train as train_module
-from mixsiam.augment import LambdaMixPolicy
+from mixsiam.augment import LambdaMixPolicy, make_triplet
 from mixsiam.cli import main
 from mixsiam.data import SyntheticConfig, batches, make_synthetic
 from mixsiam.errors import ConfigError, ParseError, TrainingAborted
-from mixsiam.loss import AggregationStrategy, siam_loss
+from mixsiam.loss import AggregationStrategy, aggregate, mix_loss, siam_loss, total_loss
 from mixsiam.model import encode, init, predict
 from mixsiam.train import (
     CHECKPOINT_MAGIC,
@@ -1056,27 +1057,55 @@ def test_a_branch_that_raises_on_a_worker_moves_nothing(monkeypatch):
     assert _state_bytes(state) == _state_bytes(fresh)
 
 
-def test_a_backward_rule_that_raises_sets_no_grad(monkeypatch):
+def test_a_branch_sweep_that_raises_on_a_worker_moves_nothing(monkeypatch):
+    # one branch's backward sweep raises on a pool worker; the step raises
+    # once the other two sweeps have ended, and from the moment the sweeps
+    # began no grad, parameter, velocity or running buffer has moved
     cfg = tiny_config()
     batch = first_batch(tiny_dataset(), cfg)
     state = TrainState.fresh(cfg)
-    params_before = _state_bytes(state)[:2 * len(state.params.tensors)]
-    pool_real = ad.global_avg_pool
-
-    def failing_rule(g):
-        raise BranchFault("global_avg_pool backward")
+    pool_real, conv_real = ad.global_avg_pool, ad.conv2d
+    lock = threading.Lock()
+    failed_on, swept, ended = [], [], []
 
     def global_avg_pool(x):
         out = pool_real(x)
-        out._backward_fn = failing_rule
+        rule = out._backward_fn
+
+        def fails_first(g):  # the first branch sweep to get here raises
+            with lock:
+                first = not failed_on
+                failed_on.append(threading.current_thread())
+            if first:
+                swept.append(_state_bytes(state))
+                raise BranchFault("global_avg_pool backward")
+            return rule(g)
+        out._backward_fn = fails_first
+        return out
+
+    def conv2d(x, k, stride=1, padding=0):
+        out = conv_real(x, k, stride=stride, padding=padding)
+        rule = out._backward_fn
+        if not x.requires_grad and rule is not None:  # a branch's first layer: its last rule
+
+            def slow_last_rule(g):
+                time.sleep(0.1)
+                grads = rule(g)
+                ended.append(threading.current_thread())
+                return grads
+            out._backward_fn = slow_last_rule
         return out
 
     monkeypatch.setattr(ad, "global_avg_pool", global_avg_pool)
+    monkeypatch.setattr(ad, "conv2d", conv2d)
     with pytest.raises(BranchFault, match="global_avg_pool backward"):
         finishes_within(60, train_step, state, batch, cfg, 10)
+    assert len(failed_on) == 3 and threading.main_thread() not in failed_on
+    assert len(ended) == 2 and threading.main_thread() not in ended
     assert state.step == 0 and all(t.grad is None for _, t in state.params.named())
-    assert _state_bytes(state)[:2 * len(state.params.tensors)] == params_before
+    assert _state_bytes(state) == swept[0]
     monkeypatch.setattr(ad, "global_avg_pool", pool_real)
+    monkeypatch.setattr(ad, "conv2d", conv_real)
     # the failed step's forward moved the running buffers, and nothing else
     ref = TrainState.fresh(cfg)
     for name, buf in state.params.running.items():
@@ -1084,6 +1113,47 @@ def test_a_backward_rule_that_raises_sets_no_grad(monkeypatch):
     assert finishes_within(60, train_step, state, batch, cfg, 10) == train_step(
         ref, batch, cfg, total_steps=10)
     assert _state_bytes(state) == _state_bytes(ref)
+
+
+def _whole_graph_step(cfg, batch):
+    """One step's forward as one graph on this thread, swept by the
+    serial oracle: the parameter gradients, and the running buffers."""
+    params = TrainState.fresh(cfg).params
+    views = make_triplet(batch, cfg.augment, cfg.lambda_mix, 0, cfg.dtype)
+    z1, z2, zm = [encode(params, x, "train") for x in (views.x1, views.x2, views.xm)]
+    p1, p2, pm = [predict(params, z, "train") for z in (z1, z2, zm)]
+    l_siam = siam_loss(p1, p2, z1, z2, stop_gradient=cfg.stop_gradient)
+    l_mix = mix_loss(pm, aggregate(z1, z2, cfg.aggregation), cfg.stop_gradient)
+    serial_backward(total_loss(l_siam, l_mix, cfg.lam)[0])
+    return {n: t.grad for n, t in params.named()}, params.running
+
+
+@given(kind=st.sampled_from(["maximum", "average", "none"]), stop_gradient=st.booleans(),
+       precision=st.sampled_from([32, 64]), lam=st.sampled_from([0.0, 0.5, 1.0]),
+       seed=st.integers(0, 2**16))
+@settings(max_examples=40, deadline=None)
+def test_train_step_gradients_are_one_serial_sweeps_over_the_step_graph(
+        kind, stop_gradient, precision, lam, seed):
+    cfg = tiny_config(aggregation=AggregationStrategy(kind), stop_gradient=stop_gradient,
+                      precision=precision, lam=lam, seed=seed)
+    batch = first_batch(tiny_dataset(), cfg)
+    want, want_running = _whole_graph_step(cfg, batch)
+    state = TrainState.fresh(cfg)
+    got = {}
+    apply_sgd_real = train_module.apply_sgd
+
+    def apply_sgd(tensors, *args, **kwargs):
+        got.update((n, t.grad.copy()) for n, t in tensors.items())
+        return apply_sgd_real(tensors, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(train_module, "apply_sgd", apply_sgd)
+        train_step(state, batch, cfg, total_steps=10)
+    assert list(got) == list(want)
+    for name, g in got.items():
+        assert g.dtype == want[name].dtype and g.tobytes() == want[name].tobytes(), name
+    for name, buf in state.params.running.items():
+        assert buf.tobytes() == want_running[name].tobytes(), name
 
 
 # -- allocator --------------------------------------------------------------
