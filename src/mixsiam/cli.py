@@ -466,6 +466,9 @@ def main(argv=None) -> int:
     except (OSError, RuntimeError) as e:  # I/O, or evaluation moved the frozen encoder
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except MemoryError as e:  # numpy's names the array it could not allocate
+        print(f"error: out of memory: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import ctypes
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -295,8 +296,10 @@ def apply_sgd(tensors: dict, velocity: dict, lr: float, momentum: float,
     return sq_norm
 
 
-def train_step(state: TrainState, batch, cfg: TrainConfig, total_steps: int) -> StepMetrics:
-    """One optimizer step on one batch of records.
+def train_step(state: TrainState, views, cfg: TrainConfig, total_steps: int,
+               prepare=None):
+    """One optimizer step on `views`, the `make_triplet` views of one batch:
+    the step's StepMetrics, and what `prepare` returned (None without it).
 
     Three forward branches share the one parameter set; branch gradients
     accumulate on the shared tensors before the single SGD update. Weight
@@ -310,11 +313,17 @@ def train_step(state: TrainState, batch, cfg: TrainConfig, total_steps: int) -> 
     pool. Each encoder parameter sums its branch parts in the order in
     which the head sweep reached the proxies, which is the order of one
     sweep over the whole step graph. Batch-norm statistics advance in
-    branch order, so the step's bytes do not depend on the CPU count. No
-    `.grad` is assigned until every sweep has succeeded.
+    branch order, so the step's bytes do not depend on the CPU count.
+
+    `prepare`, a callable of no arguments (in `run`, the next step's
+    `make_triplet`), is queued on the pool behind the branch sweeps, so it
+    runs on the first worker to finish its sweep. It must not submit to
+    the pool itself: on a one-worker pool it would wait for itself. An
+    exception of a sweep or of `prepare` is raised, with its own type,
+    once all of them have ended; no `.grad` is assigned until every one
+    has succeeded.
     """
     params = state.params
-    views = make_triplet(batch, cfg.augment, cfg.lambda_mix, state.epoch, cfg.dtype)
 
     zs = encode_branches(params, (views.x1, views.x2, views.xm))
     h1, h2, hm = proxies = [ad.Tensor(z.data, requires_grad=True) for z in zs]
@@ -330,8 +339,10 @@ def train_step(state: TrainState, batch, cfg: TrainConfig, total_steps: int) -> 
     _check_finite("loss", total.data, state.step)
     grads = dict(ad.leaf_grads(total, np.ones_like(total.data)))
     branch_of = dict(zip(proxies, zs))
-    reached = [(branch_of[h], grads.pop(h)) for h in list(grads) if h in branch_of]
-    for parts in ad.on_pool(lambda zg: ad.leaf_grads(*zg), reached):
+    sweeps = [functools.partial(ad.leaf_grads, branch_of[h], grads.pop(h))
+              for h in list(grads) if h in branch_of]
+    done = ad.on_pool(lambda job: job(), sweeps + ([prepare] if prepare else []))
+    for parts in done[:len(sweeps)]:
         for leaf, g in parts:
             if leaf in grads:
                 grads[leaf] += g
@@ -351,7 +362,7 @@ def train_step(state: TrainState, batch, cfg: TrainConfig, total_steps: int) -> 
         embedding_std=embedding_std(zs[0].data),
     )
     state.step += 1
-    return metrics
+    return metrics, (done[-1] if prepare else None)
 
 
 # -- checkpoints ----------------------------------------------------------
@@ -542,7 +553,8 @@ def _keep_freed_heap():
     the largest block the process happened to free before it. The kept
     heap is one arena for every thread: a thread arena of its own would
     keep each pool worker's freed blocks (of the training branches, their
-    backward sweeps and evaluation) beside the main thread's.
+    backward sweeps, the next step's views and evaluation) beside the main
+    thread's.
     Sets three process-wide allocator parameters; a no-op where libc has
     no mallopt.
     """
@@ -571,6 +583,13 @@ def run(cfg: TrainConfig, dataset: Dataset, out_dir, resume=None, on_metrics=Non
     from the checkpoint's step on. A fresh run truncates metrics.csv and
     deletes every checkpoint in `out_dir` first; a resumed run deletes
     nothing.
+
+    The steps form one stream of (epoch, batch) pairs across epochs. The
+    run's first views are made here; each step then makes the next pair's
+    views on the pool beside its own branch sweeps (`train_step`'s
+    `prepare`), so the last step of an epoch makes the next epoch's first.
+    A failure to make them is raised by the step that made them, which
+    then has moved no parameter and written no row.
     """
     steps_per_epoch = len(dataset) // cfg.batch_size
     if steps_per_epoch < 1:
@@ -609,15 +628,25 @@ def run(cfg: TrainConfig, dataset: Dataset, out_dir, resume=None, on_metrics=Non
         if mode == "w":
             mfile.write(hash_line)
             mfile.write(",".join(METRICS_COLUMNS) + "\n")
-        for epoch in range(state.epoch, cfg.epochs):
+        stream = ((epoch, batch) for epoch in range(state.epoch, cfg.epochs)
+                  for batch in batches(dataset, cfg.batch_size, cfg.seed, epoch))
+
+        def views_of(epoch, batch):  # `make_triplet` looked up at each call
+            return make_triplet(batch, cfg.augment, cfg.lambda_mix, epoch, cfg.dtype)
+
+        pair = next(stream, None)  # the (epoch, batch) of the coming step
+        views = None if pair is None else views_of(*pair)
+        while pair is not None:
+            epoch, pair = pair[0], next(stream, None)
             state.epoch = epoch
-            for batch in batches(dataset, cfg.batch_size, cfg.seed, epoch):
-                metrics = train_step(state, batch, cfg, total_steps)
-                mfile.write(metrics.row() + "\n")
-                if on_metrics is not None:
-                    on_metrics(metrics)
-            state.epoch = epoch + 1
-            mfile.flush()  # an epoch's rows reach the file before its checkpoint
-            save_checkpoint(state, cfg, checkpoint_path(out_dir, epoch + 1))
+            prepare = None if pair is None else functools.partial(views_of, *pair)
+            metrics, views = train_step(state, views, cfg, total_steps, prepare)
+            mfile.write(metrics.row() + "\n")
+            if on_metrics is not None:
+                on_metrics(metrics)
+            if pair is None or pair[0] != epoch:
+                state.epoch = epoch + 1
+                mfile.flush()  # an epoch's rows reach the file before its checkpoint
+                save_checkpoint(state, cfg, checkpoint_path(out_dir, epoch + 1))
     save_checkpoint(state, cfg, os.path.join(out_dir, "ckpt_final.bin"))
     return state

@@ -12,14 +12,16 @@ step, whose branches are swept apart on the thread pool;
 
 `tiny_config` is the small float64 training config shared by the trainer,
 probe and CLI tests; TINY_ENCODER and TINY_PREDICTOR are its model, at the
-scale where every finite-difference probe stays cheap. `tensor` builds a
-leaf Tensor from any array-like, which only the tests need.
+scale where every finite-difference probe stays cheap. `batch_step` is a
+train step on one batch of records, whose views it makes first. `tensor`
+builds a leaf Tensor from any array-like, which only the tests need.
 """
 
 import threading
 
 import numpy as np
 
+from mixsiam import train as train_module
 from mixsiam.augment import AugmentConfig
 from mixsiam.autodiff import Graph, Tensor, backward
 from mixsiam.model import ConvStage, EncoderSpec, PredictorSpec
@@ -168,6 +170,13 @@ def tiny_config(**overrides):
     )
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def batch_step(state, batch, cfg, total_steps):
+    """`train_step` on the views that `train.make_triplet` (looked up at
+    each call) makes of `batch` for `state.epoch`: the step's metrics."""
+    views = train_module.make_triplet(batch, cfg.augment, cfg.lambda_mix, state.epoch, cfg.dtype)
+    return train_module.train_step(state, views, cfg, total_steps)[0]
 
 
 def identity_config(output_size, seed=0):

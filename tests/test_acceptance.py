@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from augment_oracle import VIEW1_SLOT, VIEW2_SLOT, augment_view, view_rng
-from conftest import TINY_ENCODER, TINY_PREDICTOR, tensor
+from conftest import TINY_ENCODER, TINY_PREDICTOR, batch_step, tensor
 from mixsiam import autodiff as ad
 from mixsiam.augment import AugmentConfig, LambdaMixPolicy, make_triplet, mix
 from mixsiam.autodiff import Tensor, backward
@@ -46,7 +46,6 @@ from mixsiam.train import (
     config_to_dict,
     cosine_lr,
     run,
-    train_step,
 )
 
 
@@ -170,7 +169,7 @@ def test_criterion_2_stop_gradient_ablation_collapses():
         for epoch in range(cfg.epochs):
             state.epoch = epoch
             for batch in batches(train_ds, cfg.batch_size, cfg.seed, epoch):
-                train_step(state, batch, cfg, steps)
+                batch_step(state, batch, cfg, steps)
         report = evaluate(state.params, cfg, train_ds, test_ds)
         stds[label] = report.embedding_std
     elapsed = time.time() - t0
@@ -363,7 +362,7 @@ def test_criterion_6_learning_signal_on_synthetic_data():
     for epoch in range(cfg.epochs):
         state.epoch = epoch
         for batch in batches(train_ds, cfg.batch_size, cfg.seed, epoch):
-            train_step(state, batch, cfg, steps)
+            batch_step(state, batch, cfg, steps)
     trained = evaluate(state.params, cfg, train_ds, test_ds)
     random_rep = random_baseline_report(cfg, train_ds, test_ds)
 

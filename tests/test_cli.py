@@ -14,6 +14,7 @@ import pytest
 import mixsiam.cli as cli
 import mixsiam.eval as eval_module
 import mixsiam.model as model_module
+import mixsiam.train as train_module
 from conftest import identity_config
 from conftest import tiny_config as shared_tiny_config
 from mixsiam.augment import make_triplet
@@ -313,6 +314,30 @@ def test_a_worker_fault_in_training_exits_1_with_one_line(tmp_path, monkeypatch,
     assert main(["train", "--config", cpath, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err == "training aborted: non-finite values in a branch\n"
+
+
+@pytest.mark.parametrize("failing_call", [0, 2], ids=["calling_thread", "prepared_on_a_worker"])
+def test_out_of_memory_in_training_exits_1_with_one_line(tmp_path, monkeypatch, capsys,
+                                                         failing_call):
+    # run makes its first views itself and each later step's on the pool;
+    # no test allocates a real huge array: under overcommit one can succeed
+    calls = []
+    make_triplet_real = train_module.make_triplet
+
+    def make_triplet(*args):
+        calls.append(threading.current_thread())
+        if len(calls) == failing_call + 1:
+            raise MemoryError("Unable to allocate 2.98 TiB for an array with shape"
+                              " (32, 3, 100000, 100000) and data type float32")
+        return make_triplet_real(*args)
+
+    monkeypatch.setattr(train_module, "make_triplet", make_triplet)
+    cpath = write_config(tmp_path, tiny_config())
+    assert main(["train", "--config", cpath, "--out", str(tmp_path / "o")]) == 1
+    assert (calls[-1] is threading.main_thread()) == (failing_call == 0)
+    assert capsys.readouterr().err == (
+        "error: out of memory: Unable to allocate 2.98 TiB for an array with shape"
+        " (32, 3, 100000, 100000) and data type float32\n")
 
 
 def test_eval_that_mutates_the_encoder_exits_1(tmp_path, monkeypatch, capsys):

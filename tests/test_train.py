@@ -28,7 +28,14 @@ from hypothesis import strategies as st
 
 import augment_oracle as oracle
 from augment_oracle import VIEW1_SLOT, VIEW2_SLOT, augment_view, view_rng
-from conftest import TINY_ENCODER, TINY_PREDICTOR, finishes_within, serial_backward, tiny_config
+from conftest import (
+    TINY_ENCODER,
+    TINY_PREDICTOR,
+    batch_step,
+    finishes_within,
+    serial_backward,
+    tiny_config,
+)
 from mixsiam import autodiff as ad
 from mixsiam import model as model_module
 from mixsiam import train as train_module
@@ -56,7 +63,6 @@ from mixsiam.train import (
     metrics_path,
     run,
     save_checkpoint,
-    train_step,
 )
 
 
@@ -316,7 +322,7 @@ def test_train_steps_match_the_per_record_oracle_views(monkeypatch, cfg):
         for epoch in range(2):
             state.epoch = epoch
             for batch in batches(ds, cfg.batch_size, cfg.seed, epoch):
-                rows.append(train_step(state, batch, cfg, total_steps=10).row())
+                rows.append(batch_step(state, batch, cfg, total_steps=10).row())
         return rows, {n: t.data.tobytes() for n, t in state.params.named()}
 
     batched = steps()
@@ -437,7 +443,7 @@ def test_train_step_metrics_and_bookkeeping():
     ds = tiny_dataset()
     cfg = tiny_config()
     state = TrainState.fresh(cfg)
-    m = train_step(state, first_batch(ds, cfg), cfg, total_steps=10)
+    m = batch_step(state, first_batch(ds, cfg), cfg, total_steps=10)
 
     assert m.step == 0 and m.epoch == 0
     assert state.step == 1
@@ -454,7 +460,7 @@ def test_train_step_is_deterministic():
     runs = []
     for _ in range(2):
         state = TrainState.fresh(cfg)
-        runs.append(train_step(state, first_batch(ds, cfg), cfg, total_steps=10))
+        runs.append(batch_step(state, first_batch(ds, cfg), cfg, total_steps=10))
     assert runs[0] == runs[1]
 
 
@@ -462,7 +468,7 @@ def test_train_step_row_round_trips_floats():
     ds = tiny_dataset()
     cfg = tiny_config()
     state = TrainState.fresh(cfg)
-    m = train_step(state, first_batch(ds, cfg), cfg, total_steps=10)
+    m = batch_step(state, first_batch(ds, cfg), cfg, total_steps=10)
     fields = m.row().split(",")
     assert len(fields) == len(METRICS_COLUMNS)
     assert int(fields[0]) == m.step and int(fields[1]) == m.epoch
@@ -477,7 +483,7 @@ def test_train_step_aborts_on_poisoned_params():
     first = next(iter(state.params.tensors.values()))
     first.data[(0,) * first.data.ndim] = np.nan
     with pytest.raises(TrainingAborted, match="non-finite"):
-        train_step(state, first_batch(ds, cfg), cfg, total_steps=10)
+        batch_step(state, first_batch(ds, cfg), cfg, total_steps=10)
 
 
 def test_collapse_ablation_changes_the_update():
@@ -487,7 +493,7 @@ def test_collapse_ablation_changes_the_update():
     for flag in (True, False):
         cfg = tiny_config(stop_gradient=flag)
         state = TrainState.fresh(cfg)
-        m = train_step(state, batch, cfg, total_steps=10)
+        m = batch_step(state, batch, cfg, total_steps=10)
         outcomes[flag] = (m, {n: t.data.copy() for n, t in state.params.named()})
     m_on, params_on = outcomes[True]
     m_off, params_off = outcomes[False]
@@ -506,7 +512,7 @@ def stepped_state(cfg, ds, steps=2):
     state = TrainState.fresh(cfg)
     batch_iter = iter(batches(ds, cfg.batch_size, cfg.seed, 0))
     for _ in range(steps):
-        train_step(state, next(batch_iter), cfg, total_steps=10)
+        batch_step(state, next(batch_iter), cfg, total_steps=10)
     return state
 
 
@@ -953,7 +959,7 @@ def test_lambda_one_matches_reference_two_view_loop():
     for epoch in range(cfg.epochs):
         state.epoch = epoch
         for batch in batches(ds, cfg.batch_size, cfg.seed, epoch):
-            got.append(train_step(state, batch, cfg, total_steps).l_siam)
+            got.append(batch_step(state, batch, cfg, total_steps).l_siam)
 
     aug = cfg.augment
     params = init(cfg.encoder, cfg.predictor, seed=cfg.seed, dtype=np.float64)
@@ -1046,14 +1052,14 @@ def test_a_branch_that_raises_on_a_worker_moves_nothing(monkeypatch):
 
     monkeypatch.setattr(model_module, "encode", encode)
     with pytest.raises(BranchFault, match="second branch"):
-        finishes_within(60, train_step, state, batch, cfg, 10)
+        finishes_within(60, batch_step, state, batch, cfg, 10)
     assert len(threads) == 3 and threading.main_thread() not in threads
     assert state.step == 0 and _state_bytes(state) == before  # running buffers too
     assert all(t.grad is None for _, t in state.params.named())
     monkeypatch.setattr(model_module, "encode", encode_real)
-    got = finishes_within(60, train_step, state, batch, cfg, 10)
+    got = finishes_within(60, batch_step, state, batch, cfg, 10)
     fresh = TrainState.fresh(cfg)
-    assert got == train_step(fresh, batch, cfg, total_steps=10)
+    assert got == batch_step(fresh, batch, cfg, total_steps=10)
     assert _state_bytes(state) == _state_bytes(fresh)
 
 
@@ -1099,7 +1105,7 @@ def test_a_branch_sweep_that_raises_on_a_worker_moves_nothing(monkeypatch):
     monkeypatch.setattr(ad, "global_avg_pool", global_avg_pool)
     monkeypatch.setattr(ad, "conv2d", conv2d)
     with pytest.raises(BranchFault, match="global_avg_pool backward"):
-        finishes_within(60, train_step, state, batch, cfg, 10)
+        finishes_within(60, batch_step, state, batch, cfg, 10)
     assert len(failed_on) == 3 and threading.main_thread() not in failed_on
     assert len(ended) == 2 and threading.main_thread() not in ended
     assert state.step == 0 and all(t.grad is None for _, t in state.params.named())
@@ -1110,9 +1116,163 @@ def test_a_branch_sweep_that_raises_on_a_worker_moves_nothing(monkeypatch):
     ref = TrainState.fresh(cfg)
     for name, buf in state.params.running.items():
         ref.params.running[name][...] = buf
-    assert finishes_within(60, train_step, state, batch, cfg, 10) == train_step(
+    assert finishes_within(60, batch_step, state, batch, cfg, 10) == batch_step(
         ref, batch, cfg, total_steps=10)
     assert _state_bytes(state) == _state_bytes(ref)
+
+
+class RecordingPool(ThreadPoolExecutor):
+    """A pool that numbers the jobs it is given in submission order; a job's
+    number is `local.job` on its thread while it runs."""
+
+    def __init__(self, workers):
+        super().__init__(workers)
+        self.submitted = 0
+        self.local = threading.local()
+
+    def submit(self, fn, *args):
+        number = self.submitted  # only the calling thread submits
+        self.submitted += 1
+
+        def job():
+            self.local.job = number
+            try:
+                return fn(*args)
+            finally:
+                del self.local.job
+        return super().submit(job)
+
+
+def _record_pool_jobs(monkeypatch, pool):
+    """What each job of `pool` runs, by job number: "encode", "sweep", or
+    ("views", epoch, source indices) for a `make_triplet` call. Calls on
+    the calling thread go to the list under None. Also the number of the
+    first job of each `on_pool` dispatch."""
+    log, dispatches = {}, []
+    on_pool_real = ad.on_pool
+    encode_real, sweep_real, views_real = (model_module.encode, ad.leaf_grads,
+                                           train_module.make_triplet)
+
+    def note(what):
+        log.setdefault(getattr(pool.local, "job", None), []).append(what)
+
+    def encode(params, x, mode, deferred=None):
+        note("encode")
+        return encode_real(params, x, mode, deferred)
+
+    def leaf_grads(root, g):
+        note("sweep")
+        return sweep_real(root, g)
+
+    def make_triplet(records, cfg, policy, epoch, dtype):
+        note(("views", epoch, [r.source_index for r in records]))
+        return views_real(records, cfg, policy, epoch, dtype)
+
+    def on_pool(fn, items):
+        dispatches.append(pool.submitted)
+        return on_pool_real(fn, items)
+
+    monkeypatch.setattr(ad, "_POOL", pool)
+    monkeypatch.setattr(ad, "on_pool", on_pool)
+    monkeypatch.setattr(model_module, "encode", encode)
+    monkeypatch.setattr(ad, "leaf_grads", leaf_grads)
+    monkeypatch.setattr(train_module, "make_triplet", make_triplet)
+    return log, dispatches
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_each_step_queues_the_next_batchs_views_behind_its_branch_sweeps(
+        tmp_path, monkeypatch, workers):
+    cfg = tiny_config(epochs=2)
+    ds = tiny_dataset()
+    pool = RecordingPool(workers)
+    log, dispatches = _record_pool_jobs(monkeypatch, pool)
+    ends = [0]
+    run(cfg, ds, tmp_path / "run", on_metrics=lambda m: ends.append(pool.submitted))
+    pool.shutdown()
+
+    stream = [("views", epoch, [r.source_index for r in batch])
+              for epoch in range(cfg.epochs)
+              for batch in batches(ds, cfg.batch_size, cfg.seed, epoch)]
+    # the calling thread makes the first views and sweeps each step's head
+    assert log.pop(None) == [stream[0]] + ["sweep"] * len(stream)
+    # each step dispatches its three encodes, then its three branch sweeps
+    # and, queued behind them, the next (epoch, batch)'s views; the last
+    # step makes none
+    for step, (start, end) in enumerate(zip(ends, ends[1:])):
+        starts = [n for n in dispatches if start <= n < end]
+        jobs = [[log.pop(n) for n in range(a, b)] for a, b in zip(starts, starts[1:] + [end])]
+        prepared = [[stream[step + 1]]] if step + 1 < len(stream) else []
+        assert jobs == [[["encode"]] * 3, [["sweep"]] * 3 + prepared], step
+    assert log == {}
+
+
+class ViewsFault(Exception):
+    pass
+
+
+@pytest.mark.parametrize("k", [1, 2], ids=["mid_epoch", "last_of_epoch"])
+def test_a_fault_preparing_the_next_views_is_raised_by_the_step_that_prepared_them(
+        tmp_path, monkeypatch, k):
+    # step k prepares step k+1's views on a worker and fails: run raises
+    # that fault once step k's sweeps have ended, and step k has moved no
+    # parameter or velocity and written no row; its forward has advanced
+    # the running buffers, as the forward of a step whose sweep fails does
+    cfg = tiny_config(epochs=2)
+    ds = tiny_dataset()
+    after = []  # state bytes after each step of an uninterrupted run
+    step_real = train_module.train_step
+
+    def train_step(state, *args):
+        after.append(_state_bytes(state))
+        out = step_real(state, *args)
+        after.append(_state_bytes(state))
+        return out
+
+    monkeypatch.setattr(train_module, "train_step", train_step)
+    run(cfg, ds, tmp_path / "full")
+    after = after[::2] + after[-1:]
+    full_rows = read_metrics(tmp_path / "full")
+
+    states, caller, swept, calls = [], [], [], []
+    views_real = train_module.make_triplet
+    sweep_real = ad.leaf_grads
+
+    def holding(state, *args):
+        states.append(state)
+        caller.append(threading.current_thread())
+        return step_real(state, *args)
+
+    def leaf_grads(root, g):  # a slow sweep ends after the fault is raised
+        out = sweep_real(root, g)
+        time.sleep(0.05)
+        swept.append(threading.current_thread())
+        return out
+
+    def make_triplet(*args):
+        calls.append(threading.current_thread())
+        if len(calls) == k + 2:
+            raise ViewsFault(f"views of step {k + 1}")
+        return views_real(*args)
+
+    monkeypatch.setattr(train_module, "train_step", holding)
+    monkeypatch.setattr(ad, "leaf_grads", leaf_grads)
+    monkeypatch.setattr(train_module, "make_triplet", make_triplet)
+    out = tmp_path / "failed"
+    with pytest.raises(ViewsFault) as raised:
+        finishes_within(60, run, cfg, ds, out)
+    assert type(raised.value) is ViewsFault and str(raised.value) == f"views of step {k + 1}"
+    assert calls[0] is caller[0] and caller[0] not in calls[1:]
+    assert len(swept) == 4 * (k + 1)  # each step's head sweep and three branch sweeps
+    state = states[-1]
+    assert len(states) == k + 1 and state.step == k
+    moved_by_sgd = 2 * len(state.params.tensors)  # parameters, then velocities
+    assert _state_bytes(state)[:moved_by_sgd] == after[k][:moved_by_sgd]
+    assert _state_bytes(state)[moved_by_sgd:] == after[k + 1][moved_by_sgd:]
+    assert all(t.grad is None for _, t in state.params.named())
+    assert read_metrics(out) == full_rows[:2 + k]
+    assert sorted(os.listdir(out)) == ["metrics.csv"]
+    assert ad.thread_pool()._work_queue.empty()
 
 
 def _whole_graph_step(cfg, batch):
@@ -1148,7 +1308,7 @@ def test_train_step_gradients_are_one_serial_sweeps_over_the_step_graph(
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(train_module, "apply_sgd", apply_sgd)
-        train_step(state, batch, cfg, total_steps=10)
+        batch_step(state, batch, cfg, total_steps=10)
     assert list(got) == list(want)
     for name, g in got.items():
         assert g.dtype == want[name].dtype and g.tobytes() == want[name].tobytes(), name
@@ -1219,3 +1379,77 @@ def test_keep_freed_heap_shares_one_kept_heap_between_threads():
                          env={**os.environ, "PYTHONPATH": src})
     grown_kb, copy_kb = int(out.stdout), 40 << 10
     assert copy_kb * 0.9 < grown_kb < copy_kb * 1.5
+
+
+# -- a killed training process, resumed in place ------------------------------
+
+# `mixsiam train` (argv[3:]) in a process that ends itself with os._exit(9)
+# at a fixed point: "views" N ends it while a worker makes the views of
+# step N, after N - 1 metrics rows; "checkpoint" NAME ends it partway
+# through the write of NAME's .tmp, after its header and first array
+_CRASHING_TRAIN = """
+import os, sys
+from mixsiam import cli, train
+how, at = sys.argv[1], sys.argv[2]
+if how == "views":
+    make_triplet, calls = train.make_triplet, []
+    def views(*args):
+        calls.append(args)
+        if len(calls) == int(at) + 1:
+            os._exit(9)
+        return make_triplet(*args)
+    train.make_triplet = views
+else:
+    class CutShort:
+        def __init__(self, f):
+            self.f, self.writes = f, 0
+        def __enter__(self):
+            return self
+        def __exit__(self, *exc):
+            self.f.close()
+        def write(self, data):
+            self.f.write(data)
+            self.writes += 1
+            if self.writes == 5:  # magic, version, header length, header, one array
+                self.f.flush()
+                os._exit(9)
+    def cut_open(path, *args, **kwargs):
+        f = open(path, *args, **kwargs)
+        return CutShort(f) if str(path).endswith(at + ".tmp") else f
+    train.open = cut_open
+sys.exit(cli.main(sys.argv[3:]))
+"""
+
+
+@pytest.mark.parametrize("how, at, saved", [
+    ("views", "2", []),
+    ("views", "5", ["ckpt_epoch_1.bin"]),
+    ("checkpoint", "ckpt_epoch_2.bin", ["ckpt_epoch_1.bin", "ckpt_epoch_2.bin.tmp"]),
+], ids=["views_in_epoch_0", "views_in_epoch_1", "checkpoint_tmp"])
+def test_a_killed_train_resumed_in_place_writes_the_uninterrupted_bytes(tmp_path, how, at,
+                                                                        saved):
+    # the crash-recovery path of the README, on real processes: rerun from
+    # the newest epoch checkpoint into the same --out, or afresh without one
+    cfg = tiny_config(epochs=3)  # 3 steps an epoch
+    cpath = tmp_path / "config.json"
+    cpath.write_text(json.dumps(config_to_dict(cfg)))
+    src = os.path.dirname(os.path.dirname(train_module.__file__))
+
+    def train(out, *args, crash=()):
+        code = ["-c", _CRASHING_TRAIN, *crash] if crash else ["-m", "mixsiam"]
+        return subprocess.run([sys.executable, *code, "train", "--config", str(cpath),
+                               "--out", str(out), *args], capture_output=True, text=True,
+                              timeout=60, env={**os.environ, "PYTHONPATH": src})
+
+    def artifacts(out):
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())
+                if p.name == "metrics.csv" or p.name.startswith("ckpt_")}
+
+    assert train(tmp_path / "full").returncode == 0
+    out = tmp_path / "killed"
+    assert train(out, crash=(how, at)).returncode == 9
+    assert sorted(p.name for p in out.glob("ckpt_*")) == saved
+    newest = [out / name for name in saved if name.endswith(".bin")][-1:]
+    resumed = train(out, *(["--resume", str(newest[0])] if newest else []))
+    assert resumed.returncode == 0, resumed.stderr
+    assert artifacts(out) == artifacts(tmp_path / "full")
