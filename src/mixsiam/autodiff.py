@@ -135,11 +135,9 @@ _POOL = None  # the package's one thread pool, made on first use
 
 
 def thread_pool():
-    """The package's one thread pool, shared by the training branches,
-    their backward sweeps, the next train step's views and the
-    forward-only backbone: one worker per CPU this process may run on
-    (`taskset` and cpusets restrict it). `concurrent.futures` loads here,
-    not at import."""
+    """The package's one thread pool, shared by every caller of `on_pool`:
+    one worker per CPU this process may run on (`taskset` and cpusets
+    restrict it). `concurrent.futures` loads here, not at import."""
     global _POOL
     if _POOL is None:
         from concurrent.futures import ThreadPoolExecutor

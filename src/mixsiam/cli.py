@@ -18,6 +18,7 @@ import hashlib
 import json
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -456,7 +457,12 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code) if e.code else 0
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            # numpy's floating-point notices, on any thread (the filters are
+            # process-wide): a diverging run ends in TrainingAborted's one line
+            warnings.filterwarnings("ignore", "(overflow|invalid value|divide by zero)"
+                                    " encountered", RuntimeWarning)
+            return args.func(args)
     except (ConfigError, ParseError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

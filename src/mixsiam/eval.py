@@ -82,11 +82,12 @@ def extract_features(params: ModelParams, dataset: Dataset, output_size=None,
     No augmentation is applied; when `output_size` differs from the stored
     image size the only transform is a bilinear resize. Returns a pair
     ([N, embed_dim] array, [N] label array). Eval-mode batchnorm reads the
-    running buffers, so on OpenBLAS's SkylakeX kernel the features do not
-    depend on batch_size; the Haswell kernel rounds the projector's matmul
-    by batch size (ROADMAP.md, "No guarantee rests on one BLAS kernel").
-    Eval-mode `encode` builds no differentiation graph and runs each
-    batch's backbone in parallel 16-sample blocks.
+    running buffers, and a one-record tail joins the batch before it (see
+    `_chunks`), so on OpenBLAS's SkylakeX kernel the features do not
+    depend on a batch_size >= 2; the Haswell kernel rounds the projector's
+    matmul by batch size (ROADMAP.md, "No guarantee rests on one BLAS
+    kernel"). Eval-mode `encode` builds no differentiation graph and runs
+    each batch's backbone in parallel 16-sample blocks.
     """
     first = next(iter(params.named()))[1]
     dtype = first.data.dtype
@@ -94,8 +95,8 @@ def extract_features(params: ModelParams, dataset: Dataset, output_size=None,
               and dataset.image_shape[1:] != (output_size, output_size))
     chunks = []
     records = dataset.records
-    for start in range(0, len(records), batch_size):
-        batch = records[start:start + batch_size]
+    for start, stop in _chunks(len(records), batch_size):
+        batch = records[start:stop]
         if resize:
             x = np.ascontiguousarray(resize_bilinear(stack_pixels(batch), output_size),
                                      dtype=dtype)
@@ -103,6 +104,15 @@ def extract_features(params: ModelParams, dataset: Dataset, output_size=None,
             x = stack_pixels(batch, dtype)
         chunks.append(encode(params, x, "eval").data)
     return np.concatenate(chunks, axis=0), dataset.labels()
+
+
+def _chunks(n, size):
+    """(start, stop) bounds of the `size`-row chunks of `n` rows, a
+    one-row tail joined to the chunk before it. A GEMM row has the same
+    bits whatever the row count, but a one-row product runs as a GEMV,
+    which rounds differently."""
+    starts = [s for s in range(0, n, size) if s == 0 or n - s > 1]
+    return list(zip(starts, starts[1:] + [n]))
 
 
 # -- k-NN probe --------------------------------------------------------------
@@ -138,16 +148,14 @@ def knn_predict(train_feats, train_labels, test_feats, k=PROBE_K, class_count=No
         raise ConfigError("knn: training labels must be non-negative")
     classes = max(int(class_count or 0), int(labels.max()) + 1)
 
-    # Queries are ranked KNN_CHUNK rows at a time, so the similarity matrix
-    # stays [KNN_CHUNK, N_train] instead of [N_test, N_train]; a GEMM row has
-    # the same bits whatever the row count. A one-row product runs as a
-    # GEMV, which rounds differently, so a one-row tail joins the chunk
-    # before it. Negating tn rather than the product is exact.
+    # Queries are ranked in `_chunks` of KNN_CHUNK rows, so the similarity
+    # matrix stays [KNN_CHUNK, N_train] instead of [N_test, N_train] and a
+    # row's bits do not depend on the chunking. Negating tn rather than the
+    # product is exact.
     n = qn.shape[0]
-    starts = [s for s in range(0, n, KNN_CHUNK) if s == 0 or n - s > 1]
     neg_tn_t = -tn.T
     preds = np.empty(n, dtype=np.int64)
-    for start, stop in zip(starts, starts[1:] + [n]):
+    for start, stop in _chunks(n, KNN_CHUNK):
         nearest = _k_smallest(qn[start:stop] @ neg_tn_t, k)
         rows, cols = np.divmod(np.flatnonzero(nearest), tn.shape[0])
         counts = np.bincount(rows * classes + labels[cols],

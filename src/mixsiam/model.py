@@ -2,12 +2,12 @@
 and predictor h. One parameter set serves every branch; "branches" exist
 only in the loss wiring, so weight sharing is by construction.
 
-Batch-norm running statistics are updated on every train-mode forward,
-which means each of the three branch passes in a training step advances
-them (documented behavior for weight-shared siamese training).
-`encode_branches` runs the branches on any threads of the package's one
-pool (`autodiff.thread_pool`) and then advances each layer's statistics
-in branch order, so the buffers get the bits of the serial passes.
+Batch-norm running statistics advance once per train-mode forward, so
+each of the three branch passes in a training step advances them
+(documented behavior for weight-shared siamese training). Given a
+`deferred` list, a train-mode forward hands its updates to the list
+instead, for the train step to apply once the whole step has succeeded.
+The predictor runs in training only: evaluation reads the encoder.
 """
 
 from __future__ import annotations
@@ -173,8 +173,9 @@ def encode(params: ModelParams, x, mode: str, deferred=None) -> Tensor:
     parallel and concatenates the pooled rows in block order. Each eval
     backbone op works on each sample alone, so the bytes depend on neither
     the split nor the worker count. The projector always runs on the
-    whole batch: its 2-D matmul may round by row count. Train mode writes
-    the running buffers, so it keeps one full-batch backbone pass.
+    whole batch: its 2-D matmul may round by row count. Train mode
+    normalizes by whole-batch statistics, so it keeps one full-batch
+    backbone pass.
     """
     if not isinstance(x, Tensor):
         x = Tensor(np.asarray(x))
@@ -199,33 +200,16 @@ def encode(params: ModelParams, x, mode: str, deferred=None) -> Tensor:
     return h
 
 
-def encode_branches(params: ModelParams, views) -> list:
-    """Train-mode `encode` of each [B, C, H, W] array in `views`, run
-    concurrently on the pool. Each layer's running statistics then advance
-    once per view, in view order: the buffers and the outputs have the bits
-    of one encode call per view in turn. An exception in any branch is
-    raised, with its own type, once every branch has ended, and then no
-    buffer has moved."""
-    def branch(x):
-        deferred = []
-        return encode(params, x, "train", deferred), deferred
+def predict(params: ModelParams, z: Tensor, deferred=None) -> Tensor:
+    """p = h(z): embed -> hidden (BN+ReLU) -> embed (bias only).
 
-    outs = ad.on_pool(branch, views)
-    for _, deferred in outs:
-        for update in deferred:
-            ad.update_running_stats(*update)
-    return [z for z, _ in outs]
-
-
-def predict(params: ModelParams, z: Tensor, mode: str) -> Tensor:
-    """p = h(z): embed -> hidden (BN+ReLU) -> embed (bias only)."""
+    The predictor only runs in training, so its batch-norm always
+    normalizes by batch statistics (batch >= 2) and advances the running
+    buffers, or appends the update to `deferred` (see ad.batchnorm)."""
     if not isinstance(z, Tensor):
         z = Tensor(np.asarray(z))
-    if mode == "train" and z.data.shape[0] < 2:
-        raise ShapeError(
-            f"predict: train mode needs batch size >= 2, got {z.data.shape[0]}")
     h = ad.matmul(z, params.tensors["predictor.0.w"])
-    h = _bn(params, "predictor.0", h, mode)
+    h = _bn(params, "predictor.0", h, "train", deferred=deferred)
     h = h.relu()
     h = ad.matmul(h, params.tensors["predictor.1.w"])
     return ad.add_bias(h, params.tensors["predictor.1.b"])

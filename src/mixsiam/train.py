@@ -28,7 +28,7 @@ from .augment import AugmentConfig, LambdaMixPolicy, make_triplet
 from .data import Dataset, SyntheticConfig, batches, load_cifar10, make_synthetic
 from .errors import ConfigError, ParseError, TrainingAborted
 from .loss import AggregationStrategy, aggregate, mix_loss, siam_loss, total_loss
-from .model import EncoderSpec, ModelParams, PredictorSpec, encode_branches, init, predict
+from .model import EncoderSpec, ModelParams, PredictorSpec, encode, init, predict
 
 CHECKPOINT_MAGIC = b"MXSM"
 CHECKPOINT_VERSION = 1
@@ -272,19 +272,22 @@ def apply_sgd(tensors: dict, velocity: dict, lr: float, momentum: float,
     For each tensor:  buf = momentum*buf + (grad + wd*param);
     param -= lr*buf.  Weight decay is skipped for names in `no_decay`
     (the model's batchnorm scales/shifts and biases).  Mutates data and
-    velocity in place, clears grads, and returns the squared global
-    gradient norm (pre-decay, accumulated in float64).  A missing grad
-    counts as zero; a non-finite grad raises TrainingAborted.
+    velocity in place and returns the squared global gradient norm
+    (pre-decay, accumulated in float64).  A missing grad counts as zero.
+    Every grad is checked before any tensor moves: a non-finite one raises
+    TrainingAborted with data and velocity untouched.  Either way every
+    .grad is cleared.
     """
-    dtype = None
+    grads = {name: np.zeros_like(t.data) if t.grad is None else t.grad
+             for name, t in tensors.items()}
+    for t in tensors.values():
+        t.grad = None
+    for name, g in grads.items():
+        _check_finite(f"gradient of {name}", g, step)
     sq_norm = 0.0
     for name, t in tensors.items():
-        if dtype is None:
-            dtype = t.data.dtype.type
-        g = t.grad
-        if g is None:
-            g = np.zeros_like(t.data)
-        _check_finite(f"gradient of {name}", g, step)
+        dtype = t.data.dtype.type
+        g = grads[name]
         sq_norm += float(np.sum(np.asarray(g, dtype=np.float64) ** 2))
         if weight_decay and name not in no_decay:
             g = g + dtype(weight_decay) * t.data
@@ -292,7 +295,6 @@ def apply_sgd(tensors: dict, velocity: dict, lr: float, momentum: float,
         buf *= dtype(momentum)
         buf += g
         t.data -= dtype(lr) * buf
-        t.grad = None
     return sq_norm
 
 
@@ -312,24 +314,29 @@ def train_step(state: TrainState, views, cfg: TrainConfig, total_steps: int,
     branch is swept from its output, with its proxy's gradient, on the
     pool. Each encoder parameter sums its branch parts in the order in
     which the head sweep reached the proxies, which is the order of one
-    sweep over the whole step graph. Batch-norm statistics advance in
-    branch order, so the step's bytes do not depend on the CPU count.
+    sweep over the whole step graph.
 
     `prepare`, a callable of no arguments (in `run`, the next step's
     `make_triplet`), is queued on the pool behind the branch sweeps, so it
     runs on the first worker to finish its sweep. It must not submit to
     the pool itself: on a one-worker pool it would wait for itself. An
     exception of a sweep or of `prepare` is raised, with its own type,
-    once all of them have ended; no `.grad` is assigned until every one
-    has succeeded.
+    once all of them have ended.
+
+    The forwards and sweeps only compute; the state is written in one
+    place once every part has succeeded. SGD moves the parameters and
+    velocities, then the batch-norm statistics advance in the order of the
+    serial passes (encoder x1, x2, xm, then predictor p1, p2, pm), so the
+    bytes do not depend on the CPU count. A step that raises changes
+    nothing, `state.step` included, and leaves no `.grad` set.
     """
     params = state.params
+    updates = [[], [], [], []]  # batch-norm updates of each encoder branch, then the predictor
 
-    zs = encode_branches(params, (views.x1, views.x2, views.xm))
+    zs = ad.on_pool(lambda branch: encode(params, branch[0], "train", branch[1]),
+                    list(zip((views.x1, views.x2, views.xm), updates)))
     h1, h2, hm = proxies = [ad.Tensor(z.data, requires_grad=True) for z in zs]
-    p1 = predict(params, h1, "train")
-    p2 = predict(params, h2, "train")
-    pm = predict(params, hm, "train")
+    p1, p2, pm = [predict(params, h, updates[3]) for h in proxies]
 
     l_siam = siam_loss(p1, p2, h1, h2, stop_gradient=cfg.stop_gradient)
     z_f = aggregate(h1, h2, cfg.aggregation)
@@ -348,12 +355,15 @@ def train_step(state: TrainState, views, cfg: TrainConfig, total_steps: int,
                 grads[leaf] += g
             else:
                 grads[leaf] = g
+
+    # the commit: nothing above wrote the state
     for leaf, g in grads.items():
         leaf.grad = g
-
     lr = cosine_lr(state.step, total_steps, cfg.lr_base)
     sq_norm = apply_sgd(params.tensors, state.velocity, lr, cfg.momentum,
                         cfg.weight_decay, params.no_decay, step=state.step)
+    for update in (u for branch in updates for u in branch):
+        ad.update_running_stats(*update)
 
     metrics = StepMetrics(
         step=state.step, epoch=state.epoch, lr=lr,
@@ -393,9 +403,8 @@ def save_checkpoint(state: TrainState, cfg: TrainConfig, path):
     header, then the little-endian float payload (params, momentum buffers
     and batch-norm running stats — everything bitwise resume needs).
 
-    The file is written as `.tmp`, synced, renamed over `path`, and then
-    the directory is synced, so after a crash `path` holds either the old
-    checkpoint or the whole new one."""
+    The file is written through `_write_replacing`, so after a crash
+    `path` holds either the old checkpoint or the whole new one."""
     dtype, manifest = _manifest(state, cfg)
     header = {
         "format_version": CHECKPOINT_VERSION,
@@ -409,14 +418,19 @@ def save_checkpoint(state: TrainState, cfg: TrainConfig, path):
         "arrays": [entry for entry, _ in manifest],
     }
     hbytes = json.dumps(header, sort_keys=True).encode()
+    _write_replacing(path, [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION),
+                            struct.pack("<Q", len(hbytes)), hbytes]
+                     + [np.ascontiguousarray(arr, dtype=dtype).tobytes() for _, arr in manifest])
+
+
+def _write_replacing(path, chunks):
+    """Replace `path` by the bytes `chunks`, whole or not at all: they are
+    written to `path`.tmp, which is synced and renamed over `path`, and
+    then the directory is synced."""
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", CHECKPOINT_VERSION))
-        f.write(struct.pack("<Q", len(hbytes)))
-        f.write(hbytes)
-        for _, arr in manifest:
-            f.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+        for chunk in chunks:
+            f.write(chunk)
         f.flush()
         os.fsync(f.fileno())
     os.replace(tmp, path)
@@ -444,8 +458,9 @@ def _read_header(f, path):
     if version != CHECKPOINT_VERSION:
         raise ParseError(f"{path}: unsupported checkpoint version {version}")
     (hlen,) = struct.unpack("<Q", _read_exact(f, 8, path, "header length"))
+    hbytes = _read_exact(f, hlen, path, "header")
     try:
-        return json.loads(_read_exact(f, hlen, path, "header").decode())
+        return json.loads(hbytes.decode())
     except ValueError as e:  # bad UTF-8 or bad JSON
         raise ParseError(f"{path}: checkpoint header at byte offset 16 is not"
                          f" valid JSON: {e}") from None
@@ -514,10 +529,11 @@ def checkpoint_path(out_dir, epoch):
 def _drop_rows_from(mpath, step, hash_line):
     """Keep the two header lines and the complete rows before `step`: a run
     resumed in place must not repeat the rows its first attempt wrote past
-    the checkpoint, nor keep a row that a crash cut short. A file whose
-    first line is not `hash_line` holds another config's rows, and one
-    that is not UTF-8 is no metrics file: either raises ConfigError and
-    leaves it as it is."""
+    the checkpoint, nor keep a row that a crash cut short. The kept lines
+    replace the file through `_write_replacing`, so a crash leaves the old
+    file or the new one. A file whose first line is not `hash_line` holds
+    another config's rows, and one that is not UTF-8 is no metrics file:
+    either raises ConfigError and leaves it as it is."""
     try:
         with open(mpath, encoding="utf-8") as f:
             lines = f.readlines()
@@ -530,8 +546,7 @@ def _drop_rows_from(mpath, step, hash_line):
     kept = lines[:2] + [line for line in lines[2:] if line.endswith("\n")
                         and (first := line.split(",", 1)[0]).isdigit()
                         and int(first) < step]
-    with open(mpath, "w") as f:
-        f.writelines(kept)
+    _write_replacing(mpath, [line.encode() for line in kept])
 
 
 # glibc's mallopt parameters (malloc.h) and the values its own dynamic rule
@@ -588,8 +603,8 @@ def run(cfg: TrainConfig, dataset: Dataset, out_dir, resume=None, on_metrics=Non
     run's first views are made here; each step then makes the next pair's
     views on the pool beside its own branch sweeps (`train_step`'s
     `prepare`), so the last step of an epoch makes the next epoch's first.
-    A failure to make them is raised by the step that made them, which
-    then has moved no parameter and written no row.
+    A step that raises, making those views or otherwise, has changed no
+    state and written no row (see `train_step`).
     """
     steps_per_epoch = len(dataset) // cfg.batch_size
     if steps_per_epoch < 1:

@@ -13,19 +13,24 @@ step, whose branches are swept apart on the thread pool;
 `tiny_config` is the small float64 training config shared by the trainer,
 probe and CLI tests; TINY_ENCODER and TINY_PREDICTOR are its model, at the
 scale where every finite-difference probe stays cheap. `batch_step` is a
-train step on one batch of records, whose views it makes first. `tensor`
-builds a leaf Tensor from any array-like, which only the tests need.
+train step on one batch of records, whose views it makes first.
+`two_view_reference` is a plain two-view training loop written apart
+from the trainer, the oracle of a lambda=1 run. `tensor` builds a leaf
+Tensor from any array-like, which only the tests need.
 """
 
 import threading
 
 import numpy as np
 
+from augment_oracle import VIEW1_SLOT, VIEW2_SLOT, augment_view, view_rng
 from mixsiam import train as train_module
 from mixsiam.augment import AugmentConfig
 from mixsiam.autodiff import Graph, Tensor, backward
-from mixsiam.model import ConvStage, EncoderSpec, PredictorSpec
-from mixsiam.train import DatasetConfig, TrainConfig
+from mixsiam.data import batches
+from mixsiam.loss import siam_loss
+from mixsiam.model import ConvStage, EncoderSpec, PredictorSpec, encode, init, predict
+from mixsiam.train import DatasetConfig, TrainConfig, cosine_lr
 
 FD_STEP = 1e-5
 REL_TOL = 1e-4
@@ -177,6 +182,39 @@ def batch_step(state, batch, cfg, total_steps):
     each call) makes of `batch` for `state.epoch`: the step's metrics."""
     views = train_module.make_triplet(batch, cfg.augment, cfg.lambda_mix, state.epoch, cfg.dtype)
     return train_module.train_step(state, views, cfg, total_steps)[0]
+
+
+def two_view_reference(cfg, ds):
+    """A plain two-view stop-gradient loop over `ds` for the float64
+    config `cfg`, coded apart from the trainer: it never builds a mixed
+    view, makes each view with the oracle augmentation and steps SGD by
+    hand. Returns each step's l_siam as the trainer logs it, and the final
+    parameters."""
+    aug = cfg.augment
+    total_steps = (len(ds) // cfg.batch_size) * cfg.epochs
+    params = init(cfg.encoder, cfg.predictor, seed=cfg.seed, dtype=np.float64)
+    velocity = {n: np.zeros_like(t.data) for n, t in params.named()}
+    losses = []
+    for epoch in range(cfg.epochs):
+        for batch in batches(ds, cfg.batch_size, cfg.seed, epoch):
+            x1, x2 = [np.stack([augment_view(r, aug, view_rng(aug.seed, epoch, r.source_index, slot))
+                                for r in batch]) for slot in (VIEW1_SLOT, VIEW2_SLOT)]
+            z1 = encode(params, x1, "train")
+            z2 = encode(params, x2, "train")
+            loss = siam_loss(predict(params, z1), predict(params, z2), z1, z2)
+            backward(loss)
+            lr = cosine_lr(len(losses), total_steps, cfg.lr_base)
+            for name, t in params.named():
+                g = t.grad
+                if cfg.weight_decay and name not in params.no_decay:
+                    g = g + np.float64(cfg.weight_decay) * t.data
+                buf = velocity[name]
+                buf *= np.float64(cfg.momentum)
+                buf += g
+                t.data -= np.float64(lr) * buf
+                t.grad = None
+            losses.append(min(max(float(loss.data), -1.0), 1.0))
+    return losses, params
 
 
 def identity_config(output_size, seed=0):

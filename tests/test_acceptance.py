@@ -17,9 +17,7 @@ import time
 
 import numpy as np
 
-from augment_oracle import VIEW1_SLOT, VIEW2_SLOT, augment_view, view_rng
-from conftest import TINY_ENCODER, TINY_PREDICTOR, batch_step, tensor
-from mixsiam import autodiff as ad
+from conftest import TINY_ENCODER, TINY_PREDICTOR, batch_step, tensor, two_view_reference
 from mixsiam.augment import AugmentConfig, LambdaMixPolicy, make_triplet, mix
 from mixsiam.autodiff import Tensor, backward
 from mixsiam.cli import main
@@ -44,7 +42,6 @@ from mixsiam.train import (
     TrainConfig,
     TrainState,
     config_to_dict,
-    cosine_lr,
     run,
 )
 
@@ -83,9 +80,9 @@ def _frozen_total(params, x1, x2, xm, c1, c2, cf):
     computes."""
     z1 = encode(params, x1, "train")
     z2 = encode(params, x2, "train")
-    p1 = predict(params, z1, "train")
-    p2 = predict(params, z2, "train")
-    pm = predict(params, encode(params, xm, "train"), "train")
+    p1 = predict(params, z1)
+    p2 = predict(params, z2)
+    pm = predict(params, encode(params, xm, "train"))
     ls = neg_cosine(p1, c2) * 0.5 + neg_cosine(p2, c1) * 0.5
     total, _ = total_loss(ls, neg_cosine(pm, cf), BLEND_LAM)
     return float(total.data)
@@ -107,9 +104,9 @@ def test_criterion_1_composite_gradient_matches_finite_differences():
         params, x1, x2, xm = _grad_case(seed)
         z1 = encode(params, x1, "train")
         z2 = encode(params, x2, "train")
-        p1 = predict(params, z1, "train")
-        p2 = predict(params, z2, "train")
-        pm = predict(params, encode(params, xm, "train"), "train")
+        p1 = predict(params, z1)
+        p2 = predict(params, z2)
+        pm = predict(params, encode(params, xm, "train"))
         l_siam = siam_loss(p1, p2, z1, z2)
         z_f = aggregate(z1, z2, strat).detach()
         total, _ = total_loss(l_siam, mix_loss(pm, z_f), BLEND_LAM)
@@ -197,45 +194,12 @@ def test_criterion_3_lambda_one_reduces_to_plain_siamese(tmp_path):
         precision=64,
     )
     ds = cfg.dataset.build()
-    steps_per_epoch = len(ds) // cfg.batch_size
-    total_steps = steps_per_epoch * cfg.epochs
-    assert total_steps == 100
+    assert (len(ds) // cfg.batch_size) * cfg.epochs == 100
 
     got = []
     run(cfg, ds, tmp_path / "trainer", on_metrics=lambda m: got.append(m.l_siam))
 
-    aug = cfg.augment
-    params = init(cfg.encoder, cfg.predictor, seed=cfg.seed, dtype=np.float64)
-    velocity = {n: np.zeros_like(t.data) for n, t in params.named()}
-    want = []
-    step = 0
-    for epoch in range(cfg.epochs):
-        for batch in batches(ds, cfg.batch_size, cfg.seed, epoch):
-            x1 = np.stack([
-                augment_view(r, aug, view_rng(aug.seed, epoch, r.source_index, VIEW1_SLOT))
-                for r in batch])
-            x2 = np.stack([
-                augment_view(r, aug, view_rng(aug.seed, epoch, r.source_index, VIEW2_SLOT))
-                for r in batch])
-            z1 = encode(params, x1, "train")
-            z2 = encode(params, x2, "train")
-            p1 = predict(params, z1, "train")
-            p2 = predict(params, z2, "train")
-            loss = siam_loss(p1, p2, z1, z2)
-            ad.backward(loss)
-            lr = cosine_lr(step, total_steps, cfg.lr_base)
-            for name, t in params.named():
-                g = t.grad
-                if cfg.weight_decay and name not in params.no_decay:
-                    g = g + np.float64(cfg.weight_decay) * t.data
-                buf = velocity[name]
-                buf *= np.float64(cfg.momentum)
-                buf += g
-                t.data -= np.float64(lr) * buf
-                t.grad = None
-            want.append(min(max(float(loss.data), -1.0), 1.0))
-            step += 1
-
+    want, params = two_view_reference(cfg, ds)
     matches = sum(a == b for a, b in zip(got, want))
     final_state, _ = _final_params_equal(cfg, tmp_path / "trainer", params)
     ok = len(got) == 100 and matches == 100 and final_state

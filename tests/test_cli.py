@@ -5,7 +5,10 @@ seed-override and cell-isolation behaviors."""
 import dataclasses
 import functools
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -13,9 +16,8 @@ import pytest
 
 import mixsiam.cli as cli
 import mixsiam.eval as eval_module
-import mixsiam.model as model_module
 import mixsiam.train as train_module
-from conftest import identity_config
+from conftest import identity_config, two_view_reference
 from conftest import tiny_config as shared_tiny_config
 from mixsiam.augment import make_triplet
 from mixsiam.cli import (
@@ -300,16 +302,28 @@ def test_runtime_failure_maps_to_exit_1(tmp_path, monkeypatch, capsys):
     assert "training aborted" in capsys.readouterr().err
 
 
+def test_a_diverging_run_exits_1_with_one_line(tmp_path):
+    # numpy warns of the overflow on the calling thread and on pool
+    # workers; a user sees only the abort, in a real process
+    cpath = write_config(tmp_path, tiny_config(lr_base=1e30, precision=32))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run([sys.executable, "-m", "mixsiam", "train", "--config", cpath,
+                           "--out", str(tmp_path / "o")], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 1
+    assert done.stderr == "training aborted: non-finite values in loss at step 1\n"
+
+
 def test_a_worker_fault_in_training_exits_1_with_one_line(tmp_path, monkeypatch, capsys):
     # the branches run on the pool's workers; what one raises reaches main
-    encode_real = model_module.encode
+    encode_real = train_module.encode
 
     def encode(params, x, mode, deferred=None):
         if threading.current_thread() is not threading.main_thread():
             raise TrainingAborted("non-finite values in a branch")
         return encode_real(params, x, mode, deferred)
 
-    monkeypatch.setattr(model_module, "encode", encode)
+    monkeypatch.setattr(train_module, "encode", encode)
     cpath = write_config(tmp_path, tiny_config())
     assert main(["train", "--config", cpath, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
@@ -618,13 +632,6 @@ def test_sweep_lambda_one_cell_matches_plain_two_view_run(tmp_path):
     # The lambda=1 cell is a plain two-view run: an independently coded
     # loop that never builds a mixed view, seeded with the cell's derived
     # seed, must reproduce the cell's logged l_siam column bitwise.
-    import mixsiam.autodiff as ad
-    from augment_oracle import VIEW1_SLOT, VIEW2_SLOT, augment_view, view_rng
-    from mixsiam.data import batches
-    from mixsiam.loss import siam_loss
-    from mixsiam.model import encode, init, predict
-    from mixsiam.train import cosine_lr
-
     base = tiny_config(epochs=2)
     spath = tmp_path / "sweep.json"
     spath.write_text(json.dumps(sweep_payload(
@@ -639,39 +646,7 @@ def test_sweep_lambda_one_cell_matches_plain_two_view_run(tmp_path):
     cfg = dataclasses.replace(
         base, lam=1.0, seed=seed,
         augment=dataclasses.replace(base.augment, seed=seed))
-    ds = cfg.dataset.build()
-    total_steps = (len(ds) // cfg.batch_size) * cfg.epochs
-    params = init(cfg.encoder, cfg.predictor, seed=cfg.seed, dtype=cfg.dtype)
-    velocity = {n: np.zeros_like(t.data) for n, t in params.named()}
-    want = []
-    step = 0
-    aug = cfg.augment
-    for epoch in range(cfg.epochs):
-        for batch in batches(ds, cfg.batch_size, cfg.seed, epoch):
-            x1 = np.stack([
-                augment_view(r, aug, view_rng(aug.seed, epoch, r.source_index, VIEW1_SLOT))
-                for r in batch])
-            x2 = np.stack([
-                augment_view(r, aug, view_rng(aug.seed, epoch, r.source_index, VIEW2_SLOT))
-                for r in batch])
-            z1 = encode(params, x1, "train")
-            z2 = encode(params, x2, "train")
-            loss = siam_loss(predict(params, z1, "train"),
-                             predict(params, z2, "train"), z1, z2)
-            ad.backward(loss)
-            lr = cosine_lr(step, total_steps, cfg.lr_base)
-            for name, t in params.named():
-                g = t.grad
-                if cfg.weight_decay and name not in params.no_decay:
-                    g = g + np.float64(cfg.weight_decay) * t.data
-                buf = velocity[name]
-                buf *= np.float64(cfg.momentum)
-                buf += g
-                t.data -= np.float64(lr) * buf
-                t.grad = None
-            want.append(min(max(float(loss.data), -1.0), 1.0))
-            step += 1
-
+    want, _ = two_view_reference(cfg, cfg.dataset.build())
     assert got == want
 
 

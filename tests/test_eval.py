@@ -287,11 +287,15 @@ def test_extract_features_shape_and_determinism():
     assert params_checksum(params) == before  # eval mode never writes
 
 
-def test_extract_features_independent_of_batch_size():
-    ds = make_synthetic(SyntheticConfig(classes=2, per_class=6, size=8, seed=5))
+@pytest.mark.parametrize("per_class, batch_size", [(6, 3), (9, 17)],
+                         ids=["even_batches", "one_record_tail"])
+def test_extract_features_independent_of_batch_size(per_class, batch_size):
+    # 18 records in batches of 17 would leave a one-row projector matmul,
+    # which runs as a GEMV and rounds differently
+    ds = make_synthetic(SyntheticConfig(classes=2, per_class=per_class, size=8, seed=5))
     params = init(TINY_ENCODER, TINY_PREDICTOR, seed=1, dtype=np.float64)
-    a, _ = extract_features(params, ds, output_size=8, batch_size=3)
-    b, _ = extract_features(params, ds, output_size=8, batch_size=128)
+    a, _ = extract_features(params, ds, output_size=8, batch_size=batch_size)
+    b, _ = extract_features(params, ds, output_size=8, batch_size=256)
     assert np.array_equal(a, b)
 
 

@@ -150,7 +150,7 @@ def test_encode_rejects_singleton_train_batch():
     with pytest.raises(ShapeError, match="batch size"):
         encode(params, np.zeros((1, 3, 8, 8)), "train")
     with pytest.raises(ShapeError, match="batch size"):
-        predict(params, np.zeros((1, 8)), "train")
+        predict(params, np.zeros((1, 8)))
 
 
 def test_encode_not_normalized():
@@ -161,11 +161,33 @@ def test_encode_not_normalized():
 
 
 def test_predict_shape_and_determinism():
+    # the predictor runs in training only: its output reads no running buffer
     params = _tiny_params()
     z = Tensor(np.random.default_rng(5).normal(size=(4, 8)))
-    p = predict(params, z, "eval")
+    p = predict(params, z)
     assert p.shape == (4, 8)
-    assert np.array_equal(p.data, predict(params, z, "eval").data)
+    assert np.array_equal(p.data, predict(params, z).data)
+
+
+def test_deferred_running_stat_updates_are_the_serial_ones():
+    # with a list, a train-mode encode and predict leave the running
+    # buffers alone; applying the listed updates in order gives the bytes
+    # the serial calls write
+    x = _images(np.random.default_rng(6), 4)
+    serial, deferring = _tiny_params(), _tiny_params()
+    z = encode(serial, x, "train")
+    p = predict(serial, z)
+    updates = []
+    z_d = encode(deferring, x, "train", updates)
+    p_d = predict(deferring, z_d, updates)
+    assert np.array_equal(z_d.data, z.data) and np.array_equal(p_d.data, p.data)
+    assert all(np.array_equal(buf, init(TINY_ENCODER, TINY_PREDICTOR, seed=0).running[name])
+               for name, buf in deferring.running.items())
+    assert len(updates) == len(deferring.running) // 2
+    for update in updates:
+        ad.update_running_stats(*update)
+    for name, buf in serial.running.items():
+        assert deferring.running[name].tobytes() == buf.tobytes(), name
 
 
 def test_weight_sharing_by_identity():
@@ -287,7 +309,7 @@ def test_predict_param_grads_match_fd():
     w = Tensor(np.random.default_rng(11).normal(size=(4, 8)))
 
     def forward():
-        return ad.tensor_sum(predict(params, Tensor(z), "train") * w)
+        return ad.tensor_sum(predict(params, Tensor(z)) * w)
     names = [n for n in params.tensors if n.startswith("predictor")]
     for n in params.tensors:
         if n not in names:

@@ -27,7 +27,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import augment_oracle as oracle
-from augment_oracle import VIEW1_SLOT, VIEW2_SLOT, augment_view, view_rng
 from conftest import (
     TINY_ENCODER,
     TINY_PREDICTOR,
@@ -35,9 +34,9 @@ from conftest import (
     finishes_within,
     serial_backward,
     tiny_config,
+    two_view_reference,
 )
 from mixsiam import autodiff as ad
-from mixsiam import model as model_module
 from mixsiam import train as train_module
 from mixsiam.augment import LambdaMixPolicy, make_triplet
 from mixsiam.cli import main
@@ -422,14 +421,20 @@ def test_apply_sgd_missing_grads_count_as_zero():
         assert np.array_equal(t.data, before[name]), name
 
 
-def test_apply_sgd_rejects_non_finite_grad():
+@pytest.mark.parametrize("which", [0, -1], ids=["first", "last"])
+def test_apply_sgd_rejects_non_finite_grad(which):
+    # every grad is checked before any tensor moves, and every grad is cleared
     params = init(TINY_ENCODER, TINY_PREDICTOR, seed=1, dtype=np.float64)
-    velocity = {n: np.zeros_like(t.data) for n, t in params.named()}
+    velocity = {n: np.full_like(t.data, 0.5) for n, t in params.named()}
     synthetic_grads(params, seed=5)
-    first = next(iter(params.tensors))
-    params.tensors[first].grad[...] = np.inf
-    with pytest.raises(TrainingAborted, match=first.replace(".", r"\.")):
+    before = [t.data.tobytes() for _, t in params.named()]
+    name = list(params.tensors)[which]
+    params.tensors[name].grad[(0,) * params.tensors[name].data.ndim] = np.inf
+    with pytest.raises(TrainingAborted, match=name.replace(".", r"\.")):
         apply_sgd(params.tensors, velocity, lr=0.1, momentum=0.9, weight_decay=0.0)
+    assert [t.data.tobytes() for _, t in params.named()] == before
+    assert all(np.all(v == 0.5) for v in velocity.values())
+    assert all(t.grad is None for _, t in params.named())
 
 
 # -- a single training step ------------------------------------------------
@@ -680,7 +685,9 @@ def test_checkpoint_rejects_truncated_payload(tmp_path, capsys, where):
     with pytest.raises(ParseError, match="truncated"):
         load_checkpoint(path)
     assert main(["eval", "--resume", str(path), "--out", str(tmp_path / "eval")]) == 2
-    assert "truncated" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "truncated" in err and "not valid JSON" not in err
+    assert err.count(str(path)) == 1
     assert not (tmp_path / "eval").exists()
 
 
@@ -961,38 +968,7 @@ def test_lambda_one_matches_reference_two_view_loop():
         for batch in batches(ds, cfg.batch_size, cfg.seed, epoch):
             got.append(batch_step(state, batch, cfg, total_steps).l_siam)
 
-    aug = cfg.augment
-    params = init(cfg.encoder, cfg.predictor, seed=cfg.seed, dtype=np.float64)
-    velocity = {n: np.zeros_like(t.data) for n, t in params.named()}
-    want = []
-    step = 0
-    for epoch in range(cfg.epochs):
-        for batch in batches(ds, cfg.batch_size, cfg.seed, epoch):
-            x1 = np.stack([
-                augment_view(r, aug, view_rng(aug.seed, epoch, r.source_index, VIEW1_SLOT))
-                for r in batch])
-            x2 = np.stack([
-                augment_view(r, aug, view_rng(aug.seed, epoch, r.source_index, VIEW2_SLOT))
-                for r in batch])
-            z1 = encode(params, x1, "train")
-            z2 = encode(params, x2, "train")
-            p1 = predict(params, z1, "train")
-            p2 = predict(params, z2, "train")
-            loss = siam_loss(p1, p2, z1, z2)
-            ad.backward(loss)
-            lr = cosine_lr(step, total_steps, cfg.lr_base)
-            for name, t in params.named():
-                g = t.grad
-                if cfg.weight_decay and name not in params.no_decay:
-                    g = g + np.float64(cfg.weight_decay) * t.data
-                buf = velocity[name]
-                buf *= np.float64(cfg.momentum)
-                buf += g
-                t.data -= np.float64(lr) * buf
-                t.grad = None
-            want.append(min(max(float(loss.data), -1.0), 1.0))
-            step += 1
-
+    want, params = two_view_reference(cfg, ds)
     assert got == want
     ref = dict(params.named())
     for name, t in state.params.named():
@@ -1041,7 +1017,7 @@ def test_a_branch_that_raises_on_a_worker_moves_nothing(monkeypatch):
     batch = first_batch(tiny_dataset(), cfg)
     state = TrainState.fresh(cfg)
     before = _state_bytes(state)
-    encode_real = model_module.encode
+    encode_real = train_module.encode
     threads = []
 
     def encode(params, x, mode, deferred=None):
@@ -1050,13 +1026,13 @@ def test_a_branch_that_raises_on_a_worker_moves_nothing(monkeypatch):
             raise BranchFault("second branch")
         return encode_real(params, x, mode, deferred)
 
-    monkeypatch.setattr(model_module, "encode", encode)
+    monkeypatch.setattr(train_module, "encode", encode)
     with pytest.raises(BranchFault, match="second branch"):
         finishes_within(60, batch_step, state, batch, cfg, 10)
     assert len(threads) == 3 and threading.main_thread() not in threads
     assert state.step == 0 and _state_bytes(state) == before  # running buffers too
     assert all(t.grad is None for _, t in state.params.named())
-    monkeypatch.setattr(model_module, "encode", encode_real)
+    monkeypatch.setattr(train_module, "encode", encode_real)
     got = finishes_within(60, batch_step, state, batch, cfg, 10)
     fresh = TrainState.fresh(cfg)
     assert got == batch_step(fresh, batch, cfg, total_steps=10)
@@ -1065,11 +1041,12 @@ def test_a_branch_that_raises_on_a_worker_moves_nothing(monkeypatch):
 
 def test_a_branch_sweep_that_raises_on_a_worker_moves_nothing(monkeypatch):
     # one branch's backward sweep raises on a pool worker; the step raises
-    # once the other two sweeps have ended, and from the moment the sweeps
-    # began no grad, parameter, velocity or running buffer has moved
+    # once the other two sweeps have ended, and no grad, parameter,
+    # velocity or running buffer has moved
     cfg = tiny_config()
     batch = first_batch(tiny_dataset(), cfg)
     state = TrainState.fresh(cfg)
+    before = _state_bytes(state)
     pool_real, conv_real = ad.global_avg_pool, ad.conv2d
     lock = threading.Lock()
     failed_on, swept, ended = [], [], []
@@ -1109,16 +1086,13 @@ def test_a_branch_sweep_that_raises_on_a_worker_moves_nothing(monkeypatch):
     assert len(failed_on) == 3 and threading.main_thread() not in failed_on
     assert len(ended) == 2 and threading.main_thread() not in ended
     assert state.step == 0 and all(t.grad is None for _, t in state.params.named())
-    assert _state_bytes(state) == swept[0]
+    assert _state_bytes(state) == swept[0] == before  # running buffers too
     monkeypatch.setattr(ad, "global_avg_pool", pool_real)
     monkeypatch.setattr(ad, "conv2d", conv_real)
-    # the failed step's forward moved the running buffers, and nothing else
-    ref = TrainState.fresh(cfg)
-    for name, buf in state.params.running.items():
-        ref.params.running[name][...] = buf
+    fresh = TrainState.fresh(cfg)
     assert finishes_within(60, batch_step, state, batch, cfg, 10) == batch_step(
-        ref, batch, cfg, total_steps=10)
-    assert _state_bytes(state) == _state_bytes(ref)
+        fresh, batch, cfg, total_steps=10)
+    assert _state_bytes(state) == _state_bytes(fresh)
 
 
 class RecordingPool(ThreadPoolExecutor):
@@ -1150,7 +1124,7 @@ def _record_pool_jobs(monkeypatch, pool):
     first job of each `on_pool` dispatch."""
     log, dispatches = {}, []
     on_pool_real = ad.on_pool
-    encode_real, sweep_real, views_real = (model_module.encode, ad.leaf_grads,
+    encode_real, sweep_real, views_real = (train_module.encode, ad.leaf_grads,
                                            train_module.make_triplet)
 
     def note(what):
@@ -1174,7 +1148,7 @@ def _record_pool_jobs(monkeypatch, pool):
 
     monkeypatch.setattr(ad, "_POOL", pool)
     monkeypatch.setattr(ad, "on_pool", on_pool)
-    monkeypatch.setattr(model_module, "encode", encode)
+    monkeypatch.setattr(train_module, "encode", encode)
     monkeypatch.setattr(ad, "leaf_grads", leaf_grads)
     monkeypatch.setattr(train_module, "make_triplet", make_triplet)
     return log, dispatches
@@ -1216,22 +1190,18 @@ def test_a_fault_preparing_the_next_views_is_raised_by_the_step_that_prepared_th
         tmp_path, monkeypatch, k):
     # step k prepares step k+1's views on a worker and fails: run raises
     # that fault once step k's sweeps have ended, and step k has moved no
-    # parameter or velocity and written no row; its forward has advanced
-    # the running buffers, as the forward of a step whose sweep fails does
+    # parameter, velocity or running buffer and written no row
     cfg = tiny_config(epochs=2)
     ds = tiny_dataset()
-    after = []  # state bytes after each step of an uninterrupted run
+    before = []  # state bytes before each step of an uninterrupted run
     step_real = train_module.train_step
 
     def train_step(state, *args):
-        after.append(_state_bytes(state))
-        out = step_real(state, *args)
-        after.append(_state_bytes(state))
-        return out
+        before.append(_state_bytes(state))
+        return step_real(state, *args)
 
     monkeypatch.setattr(train_module, "train_step", train_step)
     run(cfg, ds, tmp_path / "full")
-    after = after[::2] + after[-1:]
     full_rows = read_metrics(tmp_path / "full")
 
     states, caller, swept, calls = [], [], [], []
@@ -1266,13 +1236,56 @@ def test_a_fault_preparing_the_next_views_is_raised_by_the_step_that_prepared_th
     assert len(swept) == 4 * (k + 1)  # each step's head sweep and three branch sweeps
     state = states[-1]
     assert len(states) == k + 1 and state.step == k
-    moved_by_sgd = 2 * len(state.params.tensors)  # parameters, then velocities
-    assert _state_bytes(state)[:moved_by_sgd] == after[k][:moved_by_sgd]
-    assert _state_bytes(state)[moved_by_sgd:] == after[k + 1][moved_by_sgd:]
+    assert _state_bytes(state) == before[k]
     assert all(t.grad is None for _, t in state.params.named())
     assert read_metrics(out) == full_rows[:2 + k]
     assert sorted(os.listdir(out)) == ["metrics.csv"]
     assert ad.thread_pool()._work_queue.empty()
+
+
+@pytest.mark.parametrize("fault", ["loss", "prepare", "gradient"])
+def test_a_step_that_raises_changes_nothing(monkeypatch, fault):
+    # a non-finite loss, a fault of `prepare` and a non-finite gradient of
+    # the last parameter SGD would step: the step writes its state at one
+    # commit point, after every part of it has succeeded
+    cfg = tiny_config()
+    batch = first_batch(tiny_dataset(), cfg)
+    state = TrainState.fresh(cfg)
+    views = make_triplet(batch, cfg.augment, cfg.lambda_mix, 0, cfg.dtype)
+    prepare = None
+    if fault == "loss":
+        total_loss_real = train_module.total_loss
+
+        def total_loss(*args):
+            total, breakdown = total_loss_real(*args)
+            total.data[...] = np.nan
+            return total, breakdown
+        monkeypatch.setattr(train_module, "total_loss", total_loss)
+        raised = pytest.raises(TrainingAborted, match="non-finite values in loss at step 0")
+    elif fault == "prepare":
+        def prepare():
+            raise ViewsFault("views of step 1")
+        raised = pytest.raises(ViewsFault, match="views of step 1")
+    else:
+        last = list(state.params.tensors)[-1]
+        sweep_real = ad.leaf_grads
+
+        def leaf_grads(root, g):
+            out = sweep_real(root, g)
+            for leaf, grad in out:
+                if leaf is state.params.tensors[last]:
+                    grad[...] = np.nan
+            return out
+        monkeypatch.setattr(ad, "leaf_grads", leaf_grads)
+        raised = pytest.raises(TrainingAborted, match=f"gradient of {last} at step 0")
+    with raised:
+        train_module.train_step(state, views, cfg, 10, prepare)
+    monkeypatch.undo()
+    fresh = TrainState.fresh(cfg)
+    assert state.step == 0 and _state_bytes(state) == _state_bytes(fresh)
+    assert all(t.grad is None for _, t in state.params.named())
+    assert batch_step(state, batch, cfg, 10) == batch_step(fresh, batch, cfg, 10)
+    assert _state_bytes(state) == _state_bytes(fresh)
 
 
 def _whole_graph_step(cfg, batch):
@@ -1281,7 +1294,7 @@ def _whole_graph_step(cfg, batch):
     params = TrainState.fresh(cfg).params
     views = make_triplet(batch, cfg.augment, cfg.lambda_mix, 0, cfg.dtype)
     z1, z2, zm = [encode(params, x, "train") for x in (views.x1, views.x2, views.xm)]
-    p1, p2, pm = [predict(params, z, "train") for z in (z1, z2, zm)]
+    p1, p2, pm = [predict(params, z) for z in (z1, z2, zm)]
     l_siam = siam_loss(p1, p2, z1, z2, stop_gradient=cfg.stop_gradient)
     l_mix = mix_loss(pm, aggregate(z1, z2, cfg.aggregation), cfg.stop_gradient)
     serial_backward(total_loss(l_siam, l_mix, cfg.lam)[0])
@@ -1385,8 +1398,9 @@ def test_keep_freed_heap_shares_one_kept_heap_between_threads():
 
 # `mixsiam train` (argv[3:]) in a process that ends itself with os._exit(9)
 # at a fixed point: "views" N ends it while a worker makes the views of
-# step N, after N - 1 metrics rows; "checkpoint" NAME ends it partway
-# through the write of NAME's .tmp, after its header and first array
+# step N, after N - 1 metrics rows; "tmp" NAME ends it partway through the
+# write of NAME's .tmp, after five chunks (a checkpoint's header and first
+# array, or the first five lines of a metrics.csv that a resume rewrites)
 _CRASHING_TRAIN = """
 import os, sys
 from mixsiam import cli, train
@@ -1410,7 +1424,7 @@ else:
         def write(self, data):
             self.f.write(data)
             self.writes += 1
-            if self.writes == 5:  # magic, version, header length, header, one array
+            if self.writes == 5:
                 self.f.flush()
                 os._exit(9)
     def cut_open(path, *args, **kwargs):
@@ -1421,15 +1435,17 @@ sys.exit(cli.main(sys.argv[3:]))
 """
 
 
-@pytest.mark.parametrize("how, at, saved", [
-    ("views", "2", []),
-    ("views", "5", ["ckpt_epoch_1.bin"]),
-    ("checkpoint", "ckpt_epoch_2.bin", ["ckpt_epoch_1.bin", "ckpt_epoch_2.bin.tmp"]),
-], ids=["views_in_epoch_0", "views_in_epoch_1", "checkpoint_tmp"])
-def test_a_killed_train_resumed_in_place_writes_the_uninterrupted_bytes(tmp_path, how, at,
+@pytest.mark.parametrize("crashes, saved", [
+    ([("views", "2")], []),
+    ([("views", "5")], ["ckpt_epoch_1.bin"]),
+    ([("tmp", "ckpt_epoch_2.bin")], ["ckpt_epoch_1.bin", "ckpt_epoch_2.bin.tmp"]),
+    ([("views", "8"), ("tmp", "metrics.csv")], ["ckpt_epoch_1.bin", "ckpt_epoch_2.bin"]),
+], ids=["views_in_epoch_0", "views_in_epoch_1", "checkpoint_tmp", "metrics_rewrite"])
+def test_a_killed_train_resumed_in_place_writes_the_uninterrupted_bytes(tmp_path, crashes,
                                                                         saved):
-    # the crash-recovery path of the README, on real processes: rerun from
-    # the newest epoch checkpoint into the same --out, or afresh without one
+    # the crash-recovery path of the README, on real processes: after each
+    # crash, rerun from the newest epoch checkpoint into the same --out, or
+    # afresh without one
     cfg = tiny_config(epochs=3)  # 3 steps an epoch
     cpath = tmp_path / "config.json"
     cpath.write_text(json.dumps(config_to_dict(cfg)))
@@ -1445,11 +1461,17 @@ def test_a_killed_train_resumed_in_place_writes_the_uninterrupted_bytes(tmp_path
         return {p.name: p.read_bytes() for p in sorted(out.iterdir())
                 if p.name == "metrics.csv" or p.name.startswith("ckpt_")}
 
+    def resume_args(out):
+        newest = sorted(out.glob("ckpt_epoch_*.bin"), key=lambda p: int(p.stem.split("_")[-1]))
+        return ["--resume", str(newest[-1])] if newest else []
+
     assert train(tmp_path / "full").returncode == 0
     out = tmp_path / "killed"
-    assert train(out, crash=(how, at)).returncode == 9
+    out.mkdir()
+    for crash in crashes:
+        assert train(out, *resume_args(out), crash=crash).returncode == 9
     assert sorted(p.name for p in out.glob("ckpt_*")) == saved
-    newest = [out / name for name in saved if name.endswith(".bin")][-1:]
-    resumed = train(out, *(["--resume", str(newest[0])] if newest else []))
+    resumed = train(out, *resume_args(out))
     assert resumed.returncode == 0, resumed.stderr
     assert artifacts(out) == artifacts(tmp_path / "full")
+    assert not list(out.glob("*.tmp"))
